@@ -16,6 +16,7 @@ import sys
 from . import __version__
 from .errors import (
     DeltoidError,
+    InfiniteRhoError,
     NoConstructionError,
     ResourceLimitError,
     UnsupportedInfiniteGroupError,
@@ -144,14 +145,14 @@ def _parse_witness(group, obj: dict) -> ObstructionWitness:
     return ObstructionWitness(level=int(_require(obj, "level", "certificate")), **parts)
 
 
-def _parse_partition(group, obj: dict) -> AdmissiblePartition:
+def _parse_partition(group, size: int, obj: dict) -> AdmissiblePartition:
     side = str(_require(obj, "side", "certificate"))
     classes = tuple(GroupSet.of(group, c) for c in _require(obj, "classes", "certificate"))
     matchings = []
     for pairs in _require(obj, "matchings", "certificate"):
         canon = tuple((canonicalize(group, a), canonicalize(group, b)) for a, b in pairs)
-        matchings.append(PartialMatching(canon, -1))
-    # defects are rebuilt from the instance size; certificates carry pairs only
+        # certificates carry pairs only; the defect follows from the instance size
+        matchings.append(PartialMatching(canon, size - len(canon)))
     return AdmissiblePartition(side, classes, tuple(matchings))
 
 
@@ -243,14 +244,15 @@ def _cmd_partition(args) -> tuple[int, dict]:
         if side == "left":
             k = lambda_by_feasibility(deltoid)
         else:
-            if rho(deltoid) is math.inf:
+            try:
+                k = rho_by_feasibility(deltoid)
+            except InfiniteRhoError:
                 results = {
                     "feasible": False,
                     "side": side,
                     "reason": "no finite partition: an element of B stabilizes A",
                 }
                 return 1, _report("partition", echo, results, warnings=warnings)
-            k = rho_by_feasibility(deltoid)
     build = partition_left if side == "left" else partition_right
     part = build(deltoid, k)
     if part is None:
@@ -312,16 +314,7 @@ def _verify_one(deltoid: Deltoid, obj: dict) -> tuple[str, bool, str]:
     elif kind == "witness":
         verdict = verify_witness(deltoid, _parse_witness(group, obj))
     elif kind == "partition":
-        part = _parse_partition(group, obj)
-        fixed = AdmissiblePartition(
-            part.side,
-            part.classes,
-            tuple(
-                PartialMatching(m.pairs, deltoid.size - len(m.pairs))
-                for m in part.matchings
-            ),
-        )
-        verdict = validate_partition(deltoid, fixed)
+        verdict = validate_partition(deltoid, _parse_partition(group, deltoid.size, obj))
     else:
         raise InstanceFileError(f"certificate: unknown kind {kind!r}")
     return kind, bool(verdict), verdict.reason

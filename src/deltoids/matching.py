@@ -4,6 +4,8 @@ Two independent routes to the same number live here: an augmenting-path
 maximum matching over the adjacency, and the definitional sweep over all
 2^|A| subsets that maximizes |S| - |delta(S)| (the defect form of Hall's
 condition).  They are cross-checked against each other in the test suite.
+The augmenting search is the capacity-k assign, which also builds the
+admissible partitions.
 """
 
 from __future__ import annotations
@@ -40,26 +42,52 @@ class PartialMatching:
     defect: int
 
 
-def _augment(rows, match_of_b, match_of_a, start: int) -> bool:
-    # Kuhn's augmenting search; rows are bitmasks, columns scanned ascending.
-    visited = 0
+def assign(masks, k: int) -> tuple[list[list[int]], int]:
+    """Give each source a target from its bitmask, each target holding at most k.
 
-    def dfs(i: int) -> bool:
-        nonlocal visited
-        cand = rows[i] & ~visited
-        while cand:
-            low = cand & -cand
-            j = low.bit_length() - 1
-            visited |= low
-            owner = match_of_b[j]
-            if owner < 0 or dfs(owner):
-                match_of_b[j] = i
-                match_of_a[i] = j
-                return True
-            cand = rows[i] & ~visited
-        return False
-
-    return dfs(start)
+    Bit t of masks[i] lets source i use target t; there are as many targets
+    as sources.  Returns holders[target], the sources placed there, and the
+    number of sources left unplaced.  An iterative Kuhn search, deterministic for
+    fixed input: sources are placed in index order, targets scanned low bit
+    first with the visited set reset per source, and a full target's
+    holders tried in list order.  On success each source on the path moves
+    to the end of the holder list of the target its child left.
+    """
+    holders: list[list[int]] = [[] for _ in masks]
+    unplaced = 0
+    for root in range(len(masks)):
+        visited = 0
+        # frames are [source, holder list of the target it tries, next index]
+        path = [[root, None, 0]]
+        while path:
+            frame = path[-1]
+            cand = masks[frame[0]] & ~visited
+            if cand:
+                low = cand & -cand
+                visited |= low
+                bucket = holders[low.bit_length() - 1]
+                if len(bucket) < k:
+                    bucket.append(frame[0])
+                    for src, parent_bucket, nxt in path[:-1]:
+                        del parent_bucket[nxt - 1]
+                        parent_bucket.append(src)
+                    break
+                frame[1] = bucket
+                frame[2] = 1
+                path.append([bucket[0], None, 0])
+                continue
+            # no target left: the parent tries its next holder, or else
+            # goes back to scanning its own targets
+            path.pop()
+            if path:
+                frame = path[-1]
+                bucket = frame[1]
+                if frame[2] < len(bucket):
+                    path.append([bucket[frame[2]], None, 0])
+                    frame[2] += 1
+        else:
+            unplaced += 1
+    return holders, unplaced
 
 
 def max_matching(D: Deltoid) -> PartialMatching:
@@ -68,20 +96,14 @@ def max_matching(D: Deltoid) -> PartialMatching:
     Rows are augmented in canonical order and columns scanned in canonical
     order, so equal inputs give byte-equal outputs.
     """
-    n = D.size
-    rows = D.rows
-    match_of_b = [-1] * n
-    match_of_a = [-1] * n
-    size = 0
-    for i in range(n):
-        if _augment(rows, match_of_b, match_of_a, i):
-            size += 1
+    holders, unplaced = assign(D.rows, 1)
     a_elems = D.A.elements
     b_elems = D.B.elements
     pairs = tuple(
-        (a_elems[i], b_elems[match_of_a[i]]) for i in range(n) if match_of_a[i] >= 0
+        (a_elems[i], b_elems[j])
+        for i, j in sorted((bucket[0], j) for j, bucket in enumerate(holders) if bucket)
     )
-    return PartialMatching(pairs, n - size)
+    return PartialMatching(pairs, unplaced)
 
 
 def deficiency(D: Deltoid) -> int:

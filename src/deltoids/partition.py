@@ -21,10 +21,16 @@ from .errors import (
     ResourceLimitError,
 )
 from .groups import DEFAULT_ORDER_BOUND
-from .matching import DEFAULT_SUBSET_BOUND, PartialMatching, Verdict, verify_matching
+from .matching import (
+    DEFAULT_SUBSET_BOUND,
+    PartialMatching,
+    Verdict,
+    assign,
+    verify_matching,
+)
 from .sets import Deltoid, GroupSet
 from .structure import ObstructionWitness, verify_witness
-from .transform import _subgroup_terms
+from .transform import subgroup_terms
 
 
 @dataclass(frozen=True)
@@ -103,50 +109,13 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
 
 
 def _transposed(D: Deltoid) -> tuple[int, ...]:
+    # zip regroups the bit matrix by columns in C; a Python loop over the
+    # set bits is about ten times slower at n = 1100.  Rows go in reversed
+    # so row i lands on bit i; the strings list column n - 1 first.
     n = D.size
-    cols = [0] * n
-    for i, row in enumerate(D.rows):
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= 1 << i
-            row ^= low
-    return tuple(cols)
-
-
-def _capacitated_assignment(masks, k: int) -> list[list[int]] | None:
-    """Give every source a target from its mask, targets holding at most k.
-
-    Returns holders[target] = sorted source lists, or None when infeasible.
-    Deterministic: sources processed in order, targets scanned low bit first.
-    """
-    count = len(masks)
-    holders: list[list[int]] = [[] for _ in range(count)]
-
-    def dfs(src: int) -> bool:
-        nonlocal visited
-        cand = masks[src] & ~visited
-        while cand:
-            low = cand & -cand
-            t = low.bit_length() - 1
-            visited |= low
-            if len(holders[t]) < k:
-                holders[t].append(src)
-                return True
-            for other in tuple(holders[t]):
-                if dfs(other):
-                    holders[t].remove(other)
-                    holders[t].append(src)
-                    return True
-            cand = masks[src] & ~visited
-        return False
-
-    for src in range(count):
-        visited = 0
-        if not dfs(src):
-            return None
-    for bucket in holders:
-        bucket.sort()
-    return holders
+    bits = [format(row, f"0{n}b") for row in reversed(D.rows)]
+    cols = [int("".join(col), 2) for col in zip(*bits)]
+    return tuple(reversed(cols))
 
 
 def _split_classes(D: Deltoid, holders, k: int, side: str) -> AdmissiblePartition:
@@ -157,7 +126,7 @@ def _split_classes(D: Deltoid, holders, k: int, side: str) -> AdmissiblePartitio
     n = D.size
     buckets: list[list[tuple]] = [[] for _ in range(k)]
     for target, sources in enumerate(holders):
-        for slot, src in enumerate(sources):
+        for slot, src in enumerate(sorted(sources)):
             if side == "left":
                 buckets[slot].append((a_elems[src], b_elems[target]))
             else:
@@ -181,8 +150,8 @@ def partition_left(D: Deltoid, k: int) -> AdmissiblePartition | None:
     """Split A into k disjoint left-admissible classes, or None if infeasible."""
     if k < 1:
         raise InvalidParametersError("k must be positive")
-    holders = _capacitated_assignment(D.rows, k)
-    if holders is None:
+    holders, unplaced = assign(D.rows, k)
+    if unplaced:
         return None
     return _split_classes(D, holders, k, "left")
 
@@ -191,8 +160,8 @@ def partition_right(D: Deltoid, k: int) -> AdmissiblePartition | None:
     """Split B into k disjoint right-admissible classes, or None if infeasible."""
     if k < 1:
         raise InvalidParametersError("k must be positive")
-    holders = _capacitated_assignment(_transposed(D), k)
-    if holders is None:
+    holders, unplaced = assign(_transposed(D), k)
+    if unplaced:
         return None
     return _split_classes(D, holders, k, "right")
 
@@ -225,31 +194,33 @@ def validate_partition(D: Deltoid, p: AdmissiblePartition) -> Verdict:
     return Verdict(True)
 
 
-def lambda_by_feasibility(D: Deltoid) -> int:
-    """Exact lambda by binary search on partition feasibility; no sweep bound."""
-    lo, hi = 1, D.size
+def _least_k(masks) -> int:
+    # Feasibility is monotone in k and k = len(masks) always suffices here,
+    # so double k from 1 until every source is placed, then bisect.
+    n = len(masks)
+    k = 1
+    while k < n and assign(masks, k)[1]:
+        k *= 2
+    lo, hi = k // 2 + 1, min(k, n)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _capacitated_assignment(D.rows, mid) is not None:
-            hi = mid
-        else:
+        if assign(masks, mid)[1]:
             lo = mid + 1
+        else:
+            hi = mid
     return lo
+
+
+def lambda_by_feasibility(D: Deltoid) -> int:
+    """Exact lambda as the least feasible partition size; no sweep bound."""
+    return _least_k(D.rows)
 
 
 def rho_by_feasibility(D: Deltoid) -> int:
-    """Exact finite rho by binary search; InfiniteRhoError when rho is infinite."""
+    """Exact finite rho as the least feasible size; InfiniteRhoError when infinite."""
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
-    cols = _transposed(D)
-    lo, hi = 1, D.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _capacitated_assignment(cols, mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _least_k(_transposed(D))
 
 
 def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
@@ -262,9 +233,7 @@ def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
         raise InfiniteRhoError("some element of B stabilizes A")
     n = D.size
     best = 1
-    for _, full, inside in _subgroup_terms(D, order_bound):
-        if not inside.elements:
-            continue
+    for full, inside in subgroup_terms(D, order_bound):
         denom = n - len(full.elements)
         if denom <= 0:
             raise InternalInconsistencyError("A is a union of cosets meeting B")
@@ -278,7 +247,7 @@ def lambda_lower_bound(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> in
     """Subgroup-indexed lower bound for lambda; equality is not guaranteed."""
     n = D.size
     best = 1
-    for _, full, inside in _subgroup_terms(D, order_bound):
+    for full, inside in subgroup_terms(D, order_bound):
         if not full.elements:
             continue
         denom = n - len(inside.elements)

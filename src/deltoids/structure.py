@@ -29,6 +29,7 @@ from .groups import (
 )
 from .matching import Verdict
 from .sets import Deltoid, GroupSet
+from .transform import subgroup_terms
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,8 @@ def find_witness(
     """
     if level < 0:
         raise InvalidParametersError("level must be nonnegative")
-    group = D.A.group
-    for sub in enumerate_subgroups(group, order_bound):
-        r_elems = tuple(b for b in D.B.elements if b in sub.member_set)
-        if not r_elems:
-            continue
-        s_elems = full_cosets_within(group, D.A.elements, sub)
-        if not s_elems:
-            continue
-        y_count = D.size - len(s_elems)
-        if y_count < len(r_elems) - level:
-            S = GroupSet(group, s_elems)
-            R = GroupSet(group, r_elems)
+    for S, R in subgroup_terms(D, order_bound):
+        if S.elements and D.size - len(S.elements) < len(R.elements) - level:
             return ObstructionWitness(
                 S=S,
                 R=R,

@@ -125,15 +125,21 @@ def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet
         S, R = e_transform_step(S, R, *witness)
 
 
-def _subgroup_terms(D: Deltoid, order_bound: int):
-    # Yields (H, full-coset part of A, B intersect H) over all subgroups.
+def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND):
+    """Yield (full H-cosets inside A, B n H) for each subgroup H meeting B.
+
+    Subgroups in canonical order (size, then element order).  A subgroup
+    missing B is skipped: every subgroup formula scores it at most as high
+    as the trivial subgroup, which misses B because the identity is not in B.
+    """
     group = D.A.group
     if not group.is_finite:
         raise UnsupportedInfiniteGroupError("subgroup formulas need a finite group")
     for sub in enumerate_subgroups(group, order_bound):
-        inside = GroupSet(group, tuple(b for b in D.B.elements if b in sub.member_set))
-        full = GroupSet(group, full_cosets_within(group, D.A.elements, sub))
-        yield sub, full, inside
+        inside = tuple(b for b in D.B.elements if b in sub.member_set)
+        if inside:
+            full = full_cosets_within(group, D.A.elements, sub)
+            yield GroupSet(group, full), GroupSet(group, inside)
 
 
 def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
@@ -144,13 +150,7 @@ def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) 
     Only the stabilized pairs (S = full coset union, R = (B n H) + identity)
     can attain the pair-formula maximum, which makes this exact.
     """
-    n = D.size
-    best = None
-    for _, full, inside in _subgroup_terms(D, order_bound):
-        value = len(full.elements) - n + len(inside.elements)
-        if best is None or value > best:
-            best = value
-    return best
+    return best_stabilizer_pair(D, order_bound).value
 
 
 def best_stabilizer_pair(
@@ -158,16 +158,17 @@ def best_stabilizer_pair(
 ) -> StabilizerPair:
     """A witnessing pair attaining the subgroup maximum.
 
-    Scans subgroups in canonical order (size, then element order) and keeps
-    the first maximizer, so the returned pair is deterministic.
+    Starts from the trivial subgroup's pair (A, {identity}) of value 0 and
+    keeps the first strict improvement in canonical subgroup order, so the
+    returned pair is deterministic.
     """
     group = D.A.group
     n = D.size
-    best = None
-    for sub, full, inside in _subgroup_terms(D, order_bound):
+    best = (0, D.A, ())
+    for full, inside in subgroup_terms(D, order_bound):
         value = len(full.elements) - n + len(inside.elements)
-        if best is None or value > best[0]:
-            best = (value, full, inside)
+        if value > best[0]:
+            best = (value, full, inside.elements)
     value, full, inside = best
-    paired_r = GroupSet.of(group, list(inside.elements) + [group.identity])
+    paired_r = GroupSet.of(group, list(inside) + [group.identity])
     return StabilizerPair(full, paired_r, value)

@@ -46,6 +46,37 @@ def golden_deltoid() -> Deltoid:
     return build_deltoid(gset(Z12, GOLDEN_A), gset(Z12, GOLDEN_B))
 
 
+def chain_rows(n):
+    """Rows i -> {i, i + 1} and a last row -> {0}.
+
+    Placing the last row in order needs an augmenting path through all n
+    rows, so the search depth grows with n.
+    """
+    return [(1 << i) | (1 << (i + 1)) for i in range(n - 1)] + [1]
+
+
+def chain_deltoid(n, transposed=False):
+    """A Deltoid carrying chain_rows(n) (or its transpose) as adjacency.
+
+    Built directly, not through build_deltoid: the matching and partition
+    code reads only the rows and the element lists, so the elements are
+    placeholders.
+    """
+    rows = chain_rows(n)
+    if transposed:
+        cols = [0] * n
+        for i, row in enumerate(rows):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        rows = cols
+    group = GroupSpec((2 * n,))
+    A = GroupSet(group, tuple((i,) for i in range(n)))
+    B = GroupSet(group, tuple((i,) for i in range(n, 2 * n)))
+    return Deltoid(A, B, tuple(rows))
+
+
 def universe_for(group, span=3):
     """All candidate elements; free coordinates restricted to [-span, span]."""
     if group.is_finite:

@@ -69,6 +69,10 @@ def test_witness_present_and_absent(capsys, tmp_path):
 def test_match_roundtrip_and_exit_codes(capsys, tmp_path):
     code, report, _ = run_json(capsys, "match", FIXTURE, "--defect", "3")
     assert code == 0 and report["results"]["pairs"] == 5
+    # pinned: the augmenting search order fixes which matching is emitted
+    assert report["certificates"]["matching"]["pairs"] == [
+        [[0], [3]], [[1], [2]], [[2], [1]], [[4], [11]], [[11], [4]]
+    ]
     cert = tmp_path / "match.json"
     cert.write_text(json.dumps(report), encoding="utf-8")
     code, verify_report, _ = run_json(
@@ -109,6 +113,12 @@ def test_partition_right_golden(capsys, tmp_path):
     assert code == 0
     assert report["results"]["k"] == 3
     classes = report["certificates"]["partition"]["classes"]
+    assert classes == [[[1], [2], [3], [4], [11]], [[6], [10]], [[8]]]
+    assert report["certificates"]["partition"]["matchings"] == [
+        [[[0], [3]], [[1], [2]], [[2], [1]], [[4], [11]], [[11], [4]]],
+        [[[1], [6]], [[11], [10]]],
+        [[[1], [8]]],
+    ]
     flattened = sorted(tuple(e) for cls in classes for e in cls)
     assert flattened == sorted(tuple(e) for e in json.loads(Path(FIXTURE).read_text())["B"])
     cert = tmp_path / "partition.json"
@@ -123,6 +133,35 @@ def test_partition_right_golden(capsys, tmp_path):
 
     code, report, _ = run_json(capsys, "partition", FIXTURE, "--side", "left")
     assert code == 0 and report["results"]["k"] == 2
+    assert report["certificates"]["partition"]["classes"] == [
+        [[0], [1], [4], [6], [11]], [[2], [8], [10]]
+    ]
+    assert report["certificates"]["partition"]["matchings"] == [
+        [[[0], [3]], [[1], [2]], [[4], [11]], [[6], [1]], [[11], [4]]],
+        [[[2], [3]], [[8], [1]], [[10], [11]]],
+    ]
+
+
+def test_partition_right_least_k_above_sweep_bound(capsys, tmp_path):
+    # n = 30 is above the 2^n sweep bound; H = <3> forces
+    # rho >= ceil(|B n H| / (|A| - |H|)) = ceil(19 / 10) = 2
+    others = [x for x in range(60) if x % 3]
+    payload = {
+        "group": "Z60",
+        "A": [[x] for x in range(0, 60, 3)] + [[x] for x in others[:10]],
+        "B": [[x] for x in range(3, 60, 3)] + [[x] for x in others[:11]],
+    }
+    instance = write_instance(tmp_path, payload)
+    code, report, _ = run_json(capsys, "partition", instance, "--side", "right")
+    assert code == 0 and report["results"]["k"] == 2
+    cert = tmp_path / "partition.json"
+    cert.write_text(json.dumps(report), encoding="utf-8")
+    code, verify_report, _ = run_json(
+        capsys, "verify", instance, "--certificate", str(cert)
+    )
+    assert code == 0 and verify_report["results"]["valid"] is True
+    code, report, _ = run_json(capsys, "partition", instance, "--side", "right", "--k", "1")
+    assert code == 1 and report["results"]["feasible"] is False
 
 
 def test_construct(capsys):

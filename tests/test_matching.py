@@ -1,6 +1,7 @@
 """Maximum matchings, deficiency routes, and the defect-bound corollaries."""
 
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from deltoids import (
     partial_matching_with_defect,
     verify_matching,
 )
+from deltoids.matching import assign
 from helpers import (
     Z2xZ,
     Z2xZ4,
@@ -26,6 +28,8 @@ from helpers import (
     Z8,
     Z12,
     brute_deficiency,
+    chain_deltoid,
+    chain_rows,
     cyc,
     exhaustive_instances,
     golden_deltoid,
@@ -40,6 +44,24 @@ def test_max_matching_golden():
     assert len(m.pairs) == 5
     assert m.defect == 3
     assert verify_matching(D, m)
+
+
+def test_augmenting_path_longer_than_recursion_limit():
+    n = 3 * sys.getrecursionlimit()
+    holders, unplaced = assign(chain_rows(n), 1)
+    assert unplaced == 0
+    # the last row takes column 0 and every other row shifts one column up
+    assert holders == [[n - 1]] + [[i] for i in range(n - 1)]
+    D = chain_deltoid(n)
+    m = max_matching(D)
+    assert m.defect == 0 and verify_matching(D, m)
+
+
+def test_assign_capacity_and_unplaced_count():
+    # three sources share one target of capacity 2; the third stays unplaced
+    assert assign([1, 1, 1], 2) == ([[0, 1], [], []], 1)
+    # a full target's holder moves on and the newcomer joins the end of the list
+    assert assign([0b01, 0b11, 0b01], 2) == ([[0, 2], [1], []], 0)
 
 
 def test_max_matching_singleton():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -35,6 +36,7 @@ from helpers import (
     right_inequality_holds,
     Z12,
     ceil_div,
+    chain_deltoid,
     cyc,
     exhaustive_instances,
     golden_deltoid,
@@ -118,6 +120,17 @@ def test_partition_right_infinite_rho_always_infeasible():
     D = infinite_rho_deltoid()
     for k in range(1, 7):
         assert partition_right(D, k) is None
+
+
+def test_feasibility_and_partitions_follow_long_augmenting_paths():
+    # both sides place their sources along a path longer than the recursion limit
+    n = 3 * sys.getrecursionlimit()
+    left, right = chain_deltoid(n), chain_deltoid(n, transposed=True)
+    assert lambda_by_feasibility(left) == 1
+    assert rho_by_feasibility(right) == 1
+    for D, build in ((left, partition_left), (right, partition_right)):
+        part = build(D, 1)
+        assert part is not None and validate_partition(D, part)
 
 
 def test_partition_k_validation():
