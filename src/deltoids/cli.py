@@ -83,6 +83,18 @@ def _partition_cert(p: AdmissiblePartition) -> dict:
     }
 
 
+def _elements(raw, where: str) -> list:
+    """Check a JSON array of elements, each an array of integers (no booleans)."""
+    if not isinstance(raw, list):
+        raise InstanceFileError(f"{where} must be an array of elements")
+    for x in raw:
+        if not isinstance(x, list) or any(type(c) is not int for c in x):
+            raise InstanceFileError(
+                f"{where}: element {json.dumps(x)} is not an array of integers"
+            )
+    return raw
+
+
 def _require(obj: dict, field: str, path: str):
     if field not in obj:
         raise InstanceFileError(f"{path}: missing field {field!r}")
@@ -108,13 +120,8 @@ def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
     warnings = []
     sets = {}
     for name in ("A", "B"):
-        raw = _require(data, name, path)
-        if not isinstance(raw, list):
-            raise InstanceFileError(f"{path}: field {name!r} must be an array of elements")
-        try:
-            canon = GroupSet.of(group, raw)
-        except (TypeError, ValueError) as err:
-            raise InstanceFileError(f"{path}: field {name!r}: {err}") from None
+        raw = _elements(_require(data, name, path), f"{path}: field {name!r}")
+        canon = GroupSet.of(group, raw)
         if len(canon.elements) < len(raw):
             warnings.append(f"duplicate elements removed from {name}")
         sets[name] = canon
@@ -128,18 +135,24 @@ def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
 
 
 def _parse_matching(group, obj: dict) -> PartialMatching:
-    pairs = _require(obj, "pairs", "certificate")
+    canon = _pairs(group, _require(obj, "pairs", "certificate"))
+    return PartialMatching(canon, int(_require(obj, "defect", "certificate")))
+
+
+def _pairs(group, pairs) -> tuple:
     canon = []
     for pair in pairs:
-        if not isinstance(pair, list) or len(pair) != 2:
+        if len(_elements(pair, "certificate: pair")) != 2:
             raise InstanceFileError("certificate: each pair must be [a, b]")
         canon.append((canonicalize(group, pair[0]), canonicalize(group, pair[1])))
-    return PartialMatching(tuple(canon), int(_require(obj, "defect", "certificate")))
+    return tuple(canon)
 
 
 def _parse_witness(group, obj: dict) -> ObstructionWitness:
     parts = {
-        name: GroupSet.of(group, _require(obj, name, "certificate"))
+        name: GroupSet.of(
+            group, _elements(_require(obj, name, "certificate"), f"certificate: field {name!r}")
+        )
         for name in ("S", "R", "Y", "Z")
     }
     return ObstructionWitness(level=int(_require(obj, "level", "certificate")), **parts)
@@ -147,10 +160,13 @@ def _parse_witness(group, obj: dict) -> ObstructionWitness:
 
 def _parse_partition(group, size: int, obj: dict) -> AdmissiblePartition:
     side = str(_require(obj, "side", "certificate"))
-    classes = tuple(GroupSet.of(group, c) for c in _require(obj, "classes", "certificate"))
+    classes = tuple(
+        GroupSet.of(group, _elements(c, "certificate: class"))
+        for c in _require(obj, "classes", "certificate")
+    )
     matchings = []
     for pairs in _require(obj, "matchings", "certificate"):
-        canon = tuple((canonicalize(group, a), canonicalize(group, b)) for a, b in pairs)
+        canon = _pairs(group, pairs)
         # certificates carry pairs only; the defect follows from the instance size
         matchings.append(PartialMatching(canon, size - len(canon)))
     return AdmissiblePartition(side, classes, tuple(matchings))
@@ -329,14 +345,20 @@ def _cmd_verify(args) -> tuple[int, dict]:
         raise InstanceFileError(f"{args.certificate}: {err.strerror or err}") from None
     except json.JSONDecodeError as err:
         raise InstanceFileError(f"{args.certificate}: invalid JSON ({err.msg})") from None
+    if not isinstance(data, dict):
+        raise InstanceFileError(f"{args.certificate}: top level must be an object")
     if "certificates" in data:
         named = data["certificates"]
     elif "kind" in data:
         named = {"certificate": data}
     else:
         raise InstanceFileError("certificate file has neither 'kind' nor 'certificates'")
+    if not isinstance(named, dict):
+        raise InstanceFileError("'certificates' must be an object")
     checks = []
     for name in sorted(named):
+        if not isinstance(named[name], dict):
+            raise InstanceFileError(f"certificate {name!r} must be an object")
         try:
             kind, ok, reason = _verify_one(deltoid, named[name])
         except (TypeError, ValueError) as err:

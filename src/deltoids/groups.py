@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import compress, product
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -60,16 +60,18 @@ class GroupSpec:
         return (0,) * self.dimension
 
 
-def _check_dimension(group: GroupSpec, x) -> None:
-    if len(x) != group.dimension:
-        raise InvalidElementError(
-            f"element of length {len(x)} does not fit group of dimension {group.dimension}"
-        )
+def _check_dimension(group: GroupSpec, elements) -> None:
+    dimension = group.dimension
+    for x in elements:
+        if len(x) != dimension:
+            raise InvalidElementError(
+                f"element of length {len(x)} does not fit group of dimension {dimension}"
+            )
 
 
 def canonicalize(group: GroupSpec, coords) -> Element:
     """Reduce torsion coordinates mod n_i; free coordinates pass through."""
-    _check_dimension(group, coords)
+    _check_dimension(group, (coords,))
     k = len(group.torsion)
     head = tuple(int(c) % n for c, n in zip(coords, group.torsion))
     return head + tuple(int(c) for c in coords[k:])
@@ -77,15 +79,14 @@ def canonicalize(group: GroupSpec, coords) -> Element:
 
 def compose(group: GroupSpec, x: Element, y: Element) -> Element:
     """Group operation: componentwise addition, torsion coordinates mod n_i."""
-    _check_dimension(group, x)
-    _check_dimension(group, y)
+    _check_dimension(group, (x, y))
     k = len(group.torsion)
     head = tuple((a + b) % n for a, b, n in zip(x, y, group.torsion))
     return head + tuple(a + b for a, b in zip(x[k:], y[k:]))
 
 
 def invert(group: GroupSpec, x: Element) -> Element:
-    _check_dimension(group, x)
+    _check_dimension(group, (x,))
     k = len(group.torsion)
     head = tuple(-a % n for a, n in zip(x, group.torsion))
     return head + tuple(-a for a in x[k:])
@@ -93,7 +94,7 @@ def invert(group: GroupSpec, x: Element) -> Element:
 
 def order(group: GroupSpec, x: Element) -> int | float:
     """Least n >= 1 with n*x = 0; math.inf when a free coordinate is nonzero."""
-    _check_dimension(group, x)
+    _check_dimension(group, (x,))
     k = len(group.torsion)
     if any(c != 0 for c in x[k:]):
         return math.inf
@@ -170,15 +171,90 @@ def generate_subgroup(group: GroupSpec, generators) -> Subgroup:
     return Subgroup(group, tuple(sorted(elems)))
 
 
-def _join(group: GroupSpec, base: frozenset[Element], x: Element) -> frozenset[Element]:
-    # Subgroup generated by base (already a subgroup) and one extra element:
-    # the union of the translates base + k*x.
-    joined = set(base)
-    cur = x
-    while cur not in joined:
-        joined.update(compose(group, h, cur) for h in base)
-        cur = compose(group, cur, x)
-    return frozenset(joined)
+# --- bitmask kernel ---------------------------------------------------------
+
+# One bit of a mask costs about a thousandth of a tuple lookup, so masks
+# are used while they hold at most this many bits per input element.
+# Beyond that (a huge torsion order next to a small set) the plain lookup
+# path is faster, and masks would grow with the modulus, not the input.
+_MASK_BITS_PER_ELEMENT = 1024
+
+# binary digits "0"/"1" to the byte values 0/1, selectors for compress
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _Masks:
+    """Sets of group elements as int bitmasks over the torsion part.
+
+    The torsion part of an element gets the mixed-radix code
+    sum(x_i * stride_i), last coordinate fastest, so code order is the
+    canonical tuple order.  A set becomes one mask per distinct free part
+    (bit c set iff the element with torsion code c is present), so no mask
+    is longer than the torsion order.  Callers check element lengths.
+    """
+
+    __slots__ = ("torsion", "axes", "full", "width")
+
+    def __init__(self, group: GroupSpec):
+        self.torsion = group.torsion
+        size = prod(self.torsion)
+        self.full = (1 << size) - 1
+        self.width = f"0{size}b"
+        # per axis: modulus n, stride s, and a mask with bit 0 of every
+        # block of n * s bits set
+        axes = []
+        stride = 1
+        for n in reversed(self.torsion):
+            axes.append((n, stride, self.full // ((1 << n * stride) - 1)))
+            stride *= n
+        self.axes = tuple(reversed(axes))
+
+    def code(self, x) -> int:
+        """Code of x's torsion part; coordinates are reduced mod n_i first."""
+        code = 0
+        for c, n in zip(x, self.torsion):
+            code = code * n + c % n
+        return code
+
+    def masks(self, elements) -> dict[tuple[int, ...], int]:
+        """One mask per free part of the given elements."""
+        k = len(self.torsion)
+        out: dict[tuple[int, ...], int] = {}
+        for x in elements:
+            key = tuple(x[k:])
+            out[key] = out.get(key, 0) | 1 << self.code(x)
+        return out
+
+    def translate(self, mask: int, shift) -> int:
+        """The set mask + shift; shift's torsion coordinates (any ints) count.
+
+        Per axis, every block of n_i * stride_i bits rotates by
+        shift_i * stride_i: the low part moves up, the rest wraps down.
+        """
+        for c, (n, s, rep) in zip(shift, self.axes):
+            c %= n
+            if c:
+                cut = (n - c) * s
+                low = mask & rep * ((1 << cut) - 1)
+                mask = low << c * s | (mask ^ low) >> cut
+        return mask
+
+    def members(self, mask: int, universe) -> tuple:
+        """The items of universe (indexed by code) whose bits are set."""
+        bits = format(mask, self.width)[::-1].encode().translate(_BIT_VALUES)
+        return tuple(compress(universe, bits))
+
+
+def _join(masks: _Masks, base: int, x: Element) -> int:
+    # Subgroup generated by base (a subgroup mask) and one extra element:
+    # the union of the translates base + k*x, doubling the run of k each
+    # round until the union is closed under x.
+    joined = base | masks.translate(base, x)
+    step = x
+    while masks.translate(joined, x) != joined:
+        step = tuple(2 * c for c in step)
+        joined |= masks.translate(joined, step)
+    return joined
 
 
 @lru_cache(maxsize=256)
@@ -189,20 +265,24 @@ def _enumerate_subgroups_cached(group: GroupSpec, order_bound: int) -> tuple[Sub
         raise ResourceLimitError(
             f"group order {group.order} exceeds enumeration bound {order_bound}"
         )
+    masks = _Masks(group)
     everything = elements_of(group)
-    trivial = frozenset((group.identity,))
+    trivial = 1  # the identity has code 0
     known = {trivial}
     stack = [trivial]
     while stack:
         base = stack.pop()
-        for x in everything:
-            if x in base:
+        covered = base
+        for code, x in enumerate(everything):
+            if covered >> code & 1:
                 continue
-            joined = _join(group, base, x)
+            # every element of the coset x + base gives the same join
+            covered |= masks.translate(base, x)
+            joined = _join(masks, base, x)
             if joined not in known:
                 known.add(joined)
                 stack.append(joined)
-    subs = [Subgroup(group, tuple(sorted(h))) for h in known]
+    subs = [Subgroup(group, masks.members(h, everything)) for h in known]
     subs.sort(key=lambda h: (len(h.elements), h.elements))
     return tuple(subs)
 
@@ -228,20 +308,33 @@ def coset_of(group: GroupSpec, x: Element, sub: Subgroup) -> tuple[Element, ...]
 def full_cosets_within(group: GroupSpec, elements, sub: Subgroup) -> tuple[Element, ...]:
     """The union of the H-cosets fully contained in the given finite set.
 
-    Buckets the elements by coset representative and keeps the buckets that
-    reach |H|; the result size is always a multiple of |H|.  Works in
-    infinite ambient groups since only the finite input set is scanned.
+    Per free part, the elements x with x + H inside the set are the AND of
+    the set's translates by -h over h in H, which are its translates by h
+    since H = -H; the result size is always a multiple of |H|.  Torsion
+    coordinates may be unreduced and are returned as given.  Works in
+    infinite ambient groups since H is finite and only the finite input set
+    is scanned.
     """
-    target = len(sub.elements)
-    buckets: dict[Element, list[Element]] = {}
-    for a in elements:
-        rep = min(compose(group, a, h) for h in sub.elements)
-        buckets.setdefault(rep, []).append(a)
-    kept: list[Element] = []
-    for bucket in buckets.values():
-        if len(bucket) == target:
-            kept.extend(bucket)
-    return tuple(sorted(kept))
+    elements = tuple(elements)
+    _check_dimension(group, elements)
+    _check_dimension(group, sub.elements)
+    if prod(group.torsion) > _MASK_BITS_PER_ELEMENT * len(elements):
+        # a mask would be far larger than the set: test each x + H directly
+        members = {canonicalize(group, x) for x in elements}
+        return tuple(sorted(
+            x for x in elements if all(compose(group, x, h) in members for h in sub.elements)
+        ))
+    masks = _Masks(group)
+    k = len(group.torsion)
+    full: dict[tuple[int, ...], int] = {}
+    for key, mask in masks.masks(elements).items():
+        kept = mask
+        for h in sub.elements:
+            kept &= masks.translate(mask, h)
+            if not kept:
+                break
+        full[key] = kept
+    return tuple(sorted(x for x in elements if full[tuple(x[k:])] >> masks.code(x) & 1))
 
 
 def cosets_of(group: GroupSpec, sub: Subgroup) -> list[tuple[Element, ...]]:

@@ -151,6 +151,25 @@ def brute_delta_elems(D, s_elems):
     }
 
 
+def brute_rows(A, B):
+    """Adjacency rows recomputed with plain sets: bit j of row i iff a_i*b_j leaves A."""
+    group = A.group
+    members = set(A.elements)
+    return tuple(
+        sum(1 << j for j, b in enumerate(B.elements) if compose(group, a, b) not in members)
+        for a in A.elements
+    )
+
+
+def bucket_full_cosets(group, elements, sub):
+    """Full H-cosets inside a set, by bucketing on the least coset member."""
+    buckets = {}
+    for a in elements:
+        buckets.setdefault(min(compose(group, a, h) for h in sub.elements), []).append(a)
+    target = len(sub.elements)
+    return tuple(sorted(a for bucket in buckets.values() if len(bucket) == target for a in bucket))
+
+
 def brute_deficiency(D):
     """Smallest defect found by trying every injection; exponential, tiny n only."""
     n = D.size

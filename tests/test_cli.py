@@ -269,3 +269,41 @@ def test_pretty_rendering(capsys):
     assert "delta: 3" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def _one_line_error(code, out, err):
+    return code == 2 and not out and err.startswith("deltoids: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_non_object_certificates(capsys, tmp_path):
+    # both used to end in an AttributeError traceback
+    entry = tmp_path / "entry.json"
+    entry.write_text(json.dumps({"certificates": {"x": [1, 2]}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(entry))
+    assert _one_line_error(code, out, err) and "'x'" in err
+    string = tmp_path / "string.json"
+    string.write_text(json.dumps("kind"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(string))
+    assert _one_line_error(code, out, err) and "top level" in err
+
+
+@pytest.mark.parametrize("bad", [1.7, True, "1"])
+def test_non_integer_coordinates_exit_two(capsys, tmp_path, bad):
+    # the instance schema says "integer"; these used to load as [1]
+    instance = write_instance(
+        tmp_path, {"group": "Z12", "A": [[bad], [2]], "B": [[1], [2]]}
+    )
+    code, out, err = run_cli(capsys, "deficiency", instance)
+    assert _one_line_error(code, out, err) and "'A'" in err
+
+    certificates = {
+        "matching": {"kind": "matching", "pairs": [[[0], [bad]]], "defect": 7},
+        "witness": {"kind": "witness", "S": [[bad]], "R": [[2]], "Y": [], "Z": [], "level": 0},
+        "partition": {"kind": "partition", "side": "right", "classes": [[[bad]]],
+                      "matchings": [[]]},
+    }
+    for name, cert in certificates.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cert), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(path))
+        assert _one_line_error(code, out, err) and "integers" in err, name

@@ -1,6 +1,7 @@
 """Group arithmetic, subgroup enumeration, and coset machinery."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,8 @@ from deltoids import (
     order,
     parse_group,
 )
-from helpers import GOLDEN_A, TRIVIAL, Z2xZ, Z2xZ2, Z2xZ4, Z6, Z12, cyc
+from deltoids.groups import _Masks
+from helpers import GOLDEN_A, TRIVIAL, Z2xZ, Z2xZ2, Z2xZ4, Z6, Z12, bucket_full_cosets, cyc
 
 
 def test_compose_examples():
@@ -160,6 +162,90 @@ def test_full_cosets_within_stability():
     for a in kept:
         for h in H.elements:
             assert compose(Z12, a, h) in kept_set
+
+
+def test_full_cosets_within_matches_bucketing_for_every_subgroup():
+    rng = random.Random(7)
+    for literal in ("Z12", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3"):
+        group = parse_group(literal)
+        elems = elements_of(group)
+        for sub in enumerate_subgroups(group):
+            cosets = {tuple(sorted(compose(group, x, h) for h in sub)) for x in elems}
+            for _ in range(40):
+                # a few whole cosets plus stray elements, so both outcomes occur
+                picked = {x for c in rng.sample(sorted(cosets), rng.randint(0, min(2, len(cosets)))) for x in c}
+                picked |= set(rng.sample(elems, rng.randint(0, len(elems) // 2)))
+                S = rng.sample(sorted(picked), len(picked))
+                assert full_cosets_within(group, S, sub) == bucket_full_cosets(group, S, sub)
+
+
+def test_full_cosets_within_free_rank_non_canonical():
+    # torsion coordinates off by multiples of 2 are kept as given; free
+    # coordinates key separate buckets
+    H = generate_subgroup(Z2xZ, [(1, 0)])
+    assert full_cosets_within(Z2xZ, [(3, 5), (-2, 5), (1, -4), (4, 7)], H) == ((-2, 5), (3, 5))
+    rng = random.Random(11)
+    for _ in range(300):
+        canon = {(rng.randint(0, 1), rng.randint(-3, 3)) for _ in range(rng.randint(0, 9))}
+        S = [(c + 2 * rng.randint(-2, 2), f) for c, f in canon]
+        for sub in (H, generate_subgroup(Z2xZ, [])):
+            assert full_cosets_within(Z2xZ, S, sub) == bucket_full_cosets(Z2xZ, S, sub)
+
+
+def test_full_cosets_within_huge_torsion_order():
+    # a torsion order of 2 * 10^18 next to a handful of elements takes the
+    # plain lookup path; it must agree with bucketing and stay small
+    group = GroupSpec((2 * 10**18,), 1)
+    half = 10**18
+    H = Subgroup(group, ((0, 0), (half, 0)))
+    rng = random.Random(5)
+    for _ in range(100):
+        S = {(rng.choice([0, 1, half, half + 1]), rng.randint(-1, 1)) for _ in range(6)}
+        S = sorted(S)
+        assert full_cosets_within(group, S, H) == bucket_full_cosets(group, S, H)
+
+
+def test_full_cosets_within_wrong_length_element():
+    H = generate_subgroup(Z12, cyc(6))
+    with pytest.raises(InvalidElementError):
+        full_cosets_within(Z12, [(0,), (6, 1)], H)
+    with pytest.raises(InvalidElementError):
+        full_cosets_within(Z2xZ, [(0,)], generate_subgroup(Z2xZ, [(1, 0)]))
+
+
+def _mask_of(masks, elements):
+    return sum(1 << masks.code(x) for x in elements)
+
+
+def test_translate_composes_and_shifts_every_element():
+    rng = random.Random(3)
+    for literal in ("Z12", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3", "Z2xZ6", "Z5xZ3xZ4"):
+        group = parse_group(literal)
+        masks = _Masks(group)
+        elems = elements_of(group)
+        for _ in range(60):
+            S = rng.sample(elems, rng.randint(0, len(elems)))
+            m = _mask_of(masks, S)
+            x = [rng.randint(-50, 50) for _ in group.torsion]
+            y = [rng.randint(-50, 50) for _ in group.torsion]
+            xy = [a + b for a, b in zip(x, y)]
+            assert masks.translate(masks.translate(m, x), y) == masks.translate(m, xy)
+            shifted = [canonicalize(group, [a + b for a, b in zip(s, x)]) for s in S]
+            assert masks.translate(m, x) == _mask_of(masks, shifted)
+
+
+def test_codes_follow_canonical_order():
+    for literal in ("Z12", "Z2xZ4", "Z3xZ2xZ5", "Z1"):
+        group = parse_group(literal)
+        masks = _Masks(group)
+        assert [masks.code(x) for x in elements_of(group)] == list(range(group.order))
+
+
+def test_enumerate_subgroups_counts():
+    # Z2^5: the Gaussian binomials [5 choose k]_2 sum to 1+31+155+155+31+1
+    assert len(enumerate_subgroups(parse_group("Z2xZ2xZ2xZ2xZ2"))) == 374
+    assert len(enumerate_subgroups(parse_group("Z4xZ4xZ4"))) == 129
+    assert len(enumerate_subgroups(parse_group("Z2xZ4xZ8"))) == 81
 
 
 def test_subgroup_validate_rejects_non_subgroup():

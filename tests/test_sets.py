@@ -1,5 +1,7 @@
 """GroupSet, instance validation, neighborhoods, progressions, Chowla defect."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from deltoids import (
     GroupSpec,
     GroupSet,
     IdentityInBError,
+    InvalidElementError,
     NotASubsetError,
     SizeMismatchError,
     build_deltoid,
@@ -18,6 +21,7 @@ from deltoids import (
     delta_set,
     max_progression_length,
     order,
+    parse_group,
     u_set,
 )
 from helpers import (
@@ -27,6 +31,7 @@ from helpers import (
     Z6,
     Z12,
     brute_delta_elems,
+    brute_rows,
     cyc,
     exhaustive_instances,
     golden_deltoid,
@@ -68,6 +73,49 @@ def test_build_deltoid_errors():
         build_deltoid(gset(Z12, []), gset(Z12, []))
     with pytest.raises(GroupMismatchError):
         build_deltoid(gset(Z12, cyc(1)), gset(Z6, cyc(1)))
+
+
+# The last three have torsion orders far above n, so their rows take the
+# plain lookup path instead of masks.
+KERNEL_GROUPS = (
+    "Z12", "Z8", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3", "Z2xZ6", "Z2xZ2xZ2xZ2", "Z997",
+    "Z2xZ", "Z6xZ", "Z3xZxZ", "Z", "Z1000003", "Z1000003xZ", "Z1000000000000000000",
+)
+
+
+def test_build_deltoid_rows_match_plain_sets():
+    # Free coordinates come from a few values, small or of size 10^12, so
+    # that sums of free parts land on free parts of A and rows mix both
+    # outcomes.
+    rng = random.Random(2024)
+    for literal in KERNEL_GROUPS:
+        group = parse_group(literal)
+        for palette in ([-1, 0, 1, 2], [-10**12, 0, 10**12, 2 * 10**12]):
+            for _ in range(25):
+                def draw():
+                    head = [rng.randrange(n) for n in group.torsion]
+                    return tuple(head + [rng.choice(palette) for _ in range(group.free_rank)])
+                n = rng.randint(1, 10)
+                A, B = sorted({draw() for _ in range(n)}), set()
+                for _ in range(10 * n):
+                    # half of B from A itself, so a*b often lands back in A
+                    x = rng.choice(A) if rng.random() < 0.5 else draw()
+                    if x != group.identity and len(B) < len(A):
+                        B.add(x)
+                A, B = GroupSet.of(group, A[: len(B)]), GroupSet.of(group, B)
+                assert build_deltoid(A, B).rows == brute_rows(A, B), (literal, A, B)
+
+
+def test_build_deltoid_trivial_group_and_wrong_length():
+    Z1 = parse_group("Z1")
+    with pytest.raises(IdentityInBError):
+        build_deltoid(GroupSet.of(Z1, [[]]), GroupSet.of(Z1, [[]]))
+    # the raw constructor skips canonicalization; build_deltoid still
+    # checks every element's length
+    with pytest.raises(InvalidElementError):
+        build_deltoid(GroupSet(Z12, ((1,), (2, 0))), gset(Z12, cyc(1, 2)))
+    with pytest.raises(InvalidElementError):
+        build_deltoid(gset(Z12, cyc(1, 2)), GroupSet(Z12, ((1,), (2, 0))))
 
 
 def test_delta_set_golden():
