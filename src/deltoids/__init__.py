@@ -21,8 +21,8 @@ from .errors import (
     UnsupportedInfiniteGroupError,
 )
 from .groups import (
+    GroupSet,
     GroupSpec,
-    Subgroup,
     canonicalize,
     compose,
     cosets_of,
@@ -59,7 +59,6 @@ from .partition import (
 )
 from .sets import (
     Deltoid,
-    GroupSet,
     build_deltoid,
     chowla_defect,
     delta_set,

@@ -1,9 +1,9 @@
-"""Command-line frontend: load instances, dispatch computations, emit reports.
+"""Command-line frontend: load instances, dispatch computations, print reports.
 
 Reports are JSON on standard output, byte-identical across runs for
-identical inputs; --pretty renders the same payload as text tables.
-Exit codes: 0 computed, 1 requested object does not exist, 2 invalid
-input, 3 resource limit exceeded.
+identical inputs.  Exit codes: 0 computed, 1 requested object does not
+exist, 2 invalid input, 3 resource limit exceeded, 4 internal error (a
+bug, not bad input).  Codes 2 to 4 print one line on standard error.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from . import __version__
 from .errors import (
     DeltoidError,
     InfiniteRhoError,
+    InternalConstructorError,
+    InternalInconsistencyError,
     NoConstructionError,
     ResourceLimitError,
     UnsupportedInfiniteGroupError,
 )
-from .groups import canonicalize, format_group, parse_group
+from .groups import GroupSet, canonicalize, format_group, parse_group
 from .matching import (
     PartialMatching,
     deficiency,
@@ -39,7 +41,7 @@ from .partition import (
     rho_by_feasibility,
     validate_partition,
 )
-from .sets import Deltoid, GroupSet, build_deltoid, chowla_defect
+from .sets import Deltoid, build_deltoid, chowla_defect
 from .structure import ObstructionWitness, construct_deficient_pair, find_witness, verify_witness
 from .transform import deficiency_by_subgroups
 
@@ -101,12 +103,16 @@ def _require(obj: dict, field: str, path: str):
     return obj[field]
 
 
-def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
-    """Read an instance file into a validated Deltoid.
+def _count(obj: dict, field: str) -> int:
+    """A certificate's nonnegative integer field (no booleans, floats or strings)."""
+    value = _require(obj, field, "certificate")
+    if type(value) is not int or value < 0:
+        raise InstanceFileError(f"certificate: {field} must be a nonnegative integer")
+    return value
 
-    Returns the deltoid, the canonical inputs echo, and any warnings
-    (currently only element deduplication notices).
-    """
+
+def _read_object(path: str) -> dict:
+    """Read a JSON file whose top level must be an object."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -114,8 +120,21 @@ def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
         raise InstanceFileError(f"{path}: {err.strerror or err}") from None
     except json.JSONDecodeError as err:
         raise InstanceFileError(f"{path}: invalid JSON ({err.msg} at line {err.lineno})") from None
+    except (ValueError, RecursionError) as err:
+        # not UTF-8, an integer past int()'s digit limit, or nested too deeply
+        raise InstanceFileError(f"{path}: unreadable JSON ({err})") from None
     if not isinstance(data, dict):
         raise InstanceFileError(f"{path}: top level must be an object")
+    return data
+
+
+def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
+    """Read an instance file into a validated Deltoid.
+
+    Returns the deltoid, the canonical inputs echo, and any warnings
+    (currently only element deduplication notices).
+    """
+    data = _read_object(path)
     group = parse_group(str(_require(data, "group", path)))
     warnings = []
     sets = {}
@@ -136,7 +155,7 @@ def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
 
 def _parse_matching(group, obj: dict) -> PartialMatching:
     canon = _pairs(group, _require(obj, "pairs", "certificate"))
-    return PartialMatching(canon, int(_require(obj, "defect", "certificate")))
+    return PartialMatching(canon, _count(obj, "defect"))
 
 
 def _pairs(group, pairs) -> tuple:
@@ -155,7 +174,7 @@ def _parse_witness(group, obj: dict) -> ObstructionWitness:
         )
         for name in ("S", "R", "Y", "Z")
     }
-    return ObstructionWitness(level=int(_require(obj, "level", "certificate")), **parts)
+    return ObstructionWitness(level=_count(obj, "level"), **parts)
 
 
 def _parse_partition(group, size: int, obj: dict) -> AdmissiblePartition:
@@ -291,14 +310,13 @@ def _cmd_partition(args) -> tuple[int, dict]:
 
 def _cmd_construct(args) -> tuple[int, dict]:
     group = parse_group(args.group)
+    echo = {"group": format_group(group), "n": args.n, "ell": args.ell}
     try:
         A, B = construct_deficient_pair(group, args.n, args.ell)
     except NoConstructionError as err:
-        echo = {"group": format_group(group), "n": args.n, "ell": args.ell}
         results = {"present": False, "reason": str(err)}
         return 1, _report("construct", echo, results)
     deltoid = build_deltoid(A, B)
-    echo = {"group": format_group(group), "n": args.n, "ell": args.ell}
     results = {
         "present": True,
         "instance": {"group": format_group(group), "A": _enc_set(A), "B": _enc_set(B)},
@@ -338,15 +356,7 @@ def _verify_one(deltoid: Deltoid, obj: dict) -> tuple[str, bool, str]:
 
 def _cmd_verify(args) -> tuple[int, dict]:
     deltoid, echo, warnings = load_instance(args.instance)
-    try:
-        with open(args.certificate, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as err:
-        raise InstanceFileError(f"{args.certificate}: {err.strerror or err}") from None
-    except json.JSONDecodeError as err:
-        raise InstanceFileError(f"{args.certificate}: invalid JSON ({err.msg})") from None
-    if not isinstance(data, dict):
-        raise InstanceFileError(f"{args.certificate}: top level must be an object")
+    data = _read_object(args.certificate)
     if "certificates" in data:
         named = data["certificates"]
     elif "kind" in data:
@@ -386,29 +396,6 @@ def _report(command, inputs, results, certificates=None, warnings=None) -> dict:
     return report
 
 
-def _pretty_lines(value, indent=0) -> list[str]:
-    pad = "  " * indent
-    lines = []
-    if isinstance(value, dict):
-        for key in sorted(value):
-            child = value[key]
-            if isinstance(child, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_pretty_lines(child, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {child}")
-    elif isinstance(value, list):
-        flat = json.dumps(value)
-        if len(flat) <= 70:
-            lines.append(f"{pad}{flat}")
-        else:
-            for item in value:
-                lines.extend(_pretty_lines(item, indent))
-    else:
-        lines.append(f"{pad}{value}")
-    return lines
-
-
 def render_json(value, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, two-space indent, short arrays inline."""
     pad = "  " * indent
@@ -429,20 +416,12 @@ def render_json(value, indent: int = 0) -> str:
     return json.dumps(value)
 
 
-def emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        print("\n".join(_pretty_lines(report)))
-    else:
-        print(render_json(report))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltoids",
         description="Partial matchings, deficiency, and admissible partitions "
         "of finite subsets of abelian groups.",
     )
-    parser.add_argument("--pretty", action="store_true", help="render a text table instead of JSON")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, handler, help_text):
@@ -484,12 +463,17 @@ def main(argv=None) -> int:
     try:
         code, report = args.handler(args)
     except ResourceLimitError as err:
-        print(f"deltoids: resource limit: {err}", file=sys.stderr)
-        return 3
+        message, code = f"resource limit: {err}", 3
+    except (InternalInconsistencyError, InternalConstructorError) as err:
+        message, code = f"internal error: {err}", 4
     except DeltoidError as err:
-        print(f"deltoids: {err}", file=sys.stderr)
-        return 2
-    emit(report, args.pretty)
+        message, code = str(err), 2
+    except Exception as err:  # any other exception is a bug, not bad input
+        message, code = f"internal error: {type(err).__name__}: {err}", 4
+    else:
+        print(render_json(report))
+        return code
+    print(f"deltoids: {message}", file=sys.stderr)
     return code
 
 

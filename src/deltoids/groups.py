@@ -2,8 +2,9 @@
 
 A group is presented as Z/n1 x ... x Z/nk x Z^r.  Elements are canonical
 integer tuples: torsion coordinates first, reduced into [0, n_i), then the
-free coordinates over Z.  The identity is the zero vector.  All values here
-are immutable and every operation is a pure function.
+free coordinates over Z.  The identity is the zero vector.  Finite
+subsets, subgroups included, are GroupSets.  All values here are immutable
+and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import compress, product
 from math import gcd, lcm, prod
 
 from .errors import (
+    GroupMismatchError,
     InfiniteSubgroupError,
     InvalidElementError,
     ResourceLimitError,
@@ -112,11 +114,20 @@ def elements_of(group: GroupSpec) -> list[Element]:
 
 
 @dataclass(frozen=True)
-class Subgroup:
-    """A finite subgroup given by its full, canonically sorted element tuple."""
+class GroupSet:
+    """A deduplicated, canonically sorted finite subset of a group.
 
-    ambient: GroupSpec
+    Instance sets, certificate parts and subgroups are all GroupSets.
+    Build one with :meth:`of`; the raw constructor trusts its input.
+    """
+
+    group: GroupSpec
     elements: tuple[Element, ...]
+
+    @classmethod
+    def of(cls, group: GroupSpec, elements) -> "GroupSet":
+        canon = sorted({canonicalize(group, e) for e in elements})
+        return cls(group, tuple(canon))
 
     @cached_property
     def member_set(self) -> frozenset[Element]:
@@ -125,28 +136,34 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x) -> bool:
-        return x in self.member_set
-
     def __iter__(self):
         return iter(self.elements)
 
-    def validate(self) -> bool:
-        """Direct check: contains identity, closed under compose and invert."""
-        g = self.ambient
-        members = self.member_set
-        if g.identity not in members:
-            return False
-        for x in self.elements:
-            if invert(g, x) not in members:
-                return False
-            for y in self.elements:
-                if compose(g, x, y) not in members:
-                    return False
-        return True
+    def __contains__(self, x) -> bool:
+        return x in self.member_set
+
+    def _same_group(self, other: "GroupSet") -> None:
+        if self.group != other.group:
+            raise GroupMismatchError("sets live in different groups")
+
+    def union(self, other: "GroupSet") -> "GroupSet":
+        self._same_group(other)
+        return GroupSet(self.group, tuple(sorted(self.member_set | other.member_set)))
+
+    def intersection(self, other: "GroupSet") -> "GroupSet":
+        self._same_group(other)
+        return GroupSet(self.group, tuple(sorted(self.member_set & other.member_set)))
+
+    def difference(self, other: "GroupSet") -> "GroupSet":
+        self._same_group(other)
+        return GroupSet(self.group, tuple(sorted(self.member_set - other.member_set)))
+
+    def issubset(self, other: "GroupSet") -> bool:
+        self._same_group(other)
+        return self.member_set <= other.member_set
 
 
-def generate_subgroup(group: GroupSpec, generators) -> Subgroup:
+def generate_subgroup(group: GroupSpec, generators) -> GroupSet:
     """Closure of the generators (plus identity) under the group operation.
 
     Only defined when the closure is finite: every generator must have all
@@ -168,7 +185,7 @@ def generate_subgroup(group: GroupSpec, generators) -> Subgroup:
             if v not in elems:
                 elems.add(v)
                 queue.append(v)
-    return Subgroup(group, tuple(sorted(elems)))
+    return GroupSet(group, tuple(sorted(elems)))
 
 
 # --- bitmask kernel ---------------------------------------------------------
@@ -258,7 +275,7 @@ def _join(masks: _Masks, base: int, x: Element) -> int:
 
 
 @lru_cache(maxsize=256)
-def _enumerate_subgroups_cached(group: GroupSpec, order_bound: int) -> tuple[Subgroup, ...]:
+def _enumerate_subgroups_cached(group: GroupSpec, order_bound: int) -> tuple[GroupSet, ...]:
     if not group.is_finite:
         raise UnsupportedInfiniteGroupError("subgroup enumeration needs a finite group")
     if group.order > order_bound:
@@ -282,14 +299,14 @@ def _enumerate_subgroups_cached(group: GroupSpec, order_bound: int) -> tuple[Sub
             if joined not in known:
                 known.add(joined)
                 stack.append(joined)
-    subs = [Subgroup(group, masks.members(h, everything)) for h in known]
+    subs = [GroupSet(group, masks.members(h, everything)) for h in known]
     subs.sort(key=lambda h: (len(h.elements), h.elements))
     return tuple(subs)
 
 
 def enumerate_subgroups(
     group: GroupSpec, order_bound: int = DEFAULT_ORDER_BOUND
-) -> list[Subgroup]:
+) -> list[GroupSet]:
     """Every subgroup of a finite group, each exactly once.
 
     Computed by closing the trivial subgroup under joins with single
@@ -300,12 +317,7 @@ def enumerate_subgroups(
     return list(_enumerate_subgroups_cached(group, order_bound))
 
 
-def coset_of(group: GroupSpec, x: Element, sub: Subgroup) -> tuple[Element, ...]:
-    """The coset x + H as a sorted tuple."""
-    return tuple(sorted(compose(group, x, h) for h in sub.elements))
-
-
-def full_cosets_within(group: GroupSpec, elements, sub: Subgroup) -> tuple[Element, ...]:
+def full_cosets_within(group: GroupSpec, elements, sub: GroupSet) -> tuple[Element, ...]:
     """The union of the H-cosets fully contained in the given finite set.
 
     Per free part, the elements x with x + H inside the set are the AND of
@@ -337,14 +349,14 @@ def full_cosets_within(group: GroupSpec, elements, sub: Subgroup) -> tuple[Eleme
     return tuple(sorted(x for x in elements if full[tuple(x[k:])] >> masks.code(x) & 1))
 
 
-def cosets_of(group: GroupSpec, sub: Subgroup) -> list[tuple[Element, ...]]:
-    """All cosets of a subgroup in a finite group, ordered by smallest member."""
+def cosets_of(group: GroupSpec, sub: GroupSet) -> list[tuple[Element, ...]]:
+    """All cosets x + H of a subgroup as sorted tuples, ordered by smallest member."""
     seen: set[Element] = set()
     out = []
     for g in elements_of(group):
         if g in seen:
             continue
-        coset = coset_of(group, g, sub)
+        coset = tuple(sorted(compose(group, g, h) for h in sub.elements))
         seen.update(coset)
         out.append(coset)
     return out
@@ -369,9 +381,13 @@ def parse_group(literal: str) -> GroupSpec:
         if token == "Z":
             free_rank += 1
             continue
-        if not token.startswith("Z") or not token[1:].isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as superscripts
+        if not token.startswith("Z") or not token[1:].isdecimal():
             raise InvalidElementError(f"bad group literal token {token!r} in {literal!r}")
-        n = int(token[1:])
+        try:
+            n = int(token[1:])
+        except ValueError:  # more digits than int() converts
+            raise InvalidElementError(f"modulus of {len(token) - 1} digits is too large") from None
         if n < 2:
             raise InvalidElementError(f"modulus {n} < 2 in group literal {literal!r}")
         if free_rank:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import islice
+from operator import sub
 
 from .errors import InvalidDefectError, ResourceLimitError
 from .groups import Element
@@ -122,26 +124,31 @@ def partial_matching_with_defect(D: Deltoid, d: int) -> PartialMatching | None:
     return PartialMatching(best.pairs[:keep], d)
 
 
-def deficiency_by_subsets(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
-    """Definitional oracle: max over all S of |S| - |delta(S)|.
+def subset_neighborhoods(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> array:
+    """Neighborhoods of all 2^|A| subsets: table[m] is the column mask of delta(S).
 
-    Walks all 2^|A| subsets with an incremental-OR table, so each subset
-    costs O(1) bit operations.  Refuses instances above subset_bound.
+    S is the subset of A at the row positions set in m.  The table is built
+    by doubling in place: once rows 0..i-1 are in, the subsets that also
+    hold row i are the table so far ORed with that row.  Refuses instances
+    above subset_bound.
     """
     n = D.size
     if n > subset_bound:
         raise ResourceLimitError(f"|A| = {n} exceeds subset sweep bound {subset_bound}")
-    rows = D.rows
-    table = array("Q", bytes(8 << n))
-    best = 0
-    for m in range(1, 1 << n):
-        low = m & -m
-        t = table[m ^ low] | rows[low.bit_length() - 1]
-        table[m] = t
-        v = m.bit_count() - t.bit_count()
-        if v > best:
-            best = v
-    return best
+    table = array("Q", [0])
+    for row in D.rows:
+        table.extend(map(row.__or__, islice(table, len(table))))
+    return table
+
+
+def deficiency_by_subsets(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
+    """Definitional oracle: max over all S of |S| - |delta(S)|.
+
+    One scan of the subset table; refuses instances above subset_bound.
+    """
+    table = subset_neighborhoods(D, subset_bound)
+    sizes = map(int.bit_count, range(len(table)))
+    return max(map(sub, sizes, map(int.bit_count, table)))
 
 
 def verify_matching(D: Deltoid, f: PartialMatching) -> Verdict:

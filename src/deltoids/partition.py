@@ -10,25 +10,26 @@ split across classes, so every answer ships with verifiable certificates.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import floordiv, neg, sub
 
 from .errors import (
     InfiniteRhoError,
     InternalInconsistencyError,
     InvalidParametersError,
     InvalidWitnessError,
-    ResourceLimitError,
 )
-from .groups import DEFAULT_ORDER_BOUND
+from .groups import DEFAULT_ORDER_BOUND, GroupSet
 from .matching import (
     DEFAULT_SUBSET_BOUND,
     PartialMatching,
     Verdict,
     assign,
+    subset_neighborhoods,
     verify_matching,
 )
-from .sets import Deltoid, GroupSet
+from .sets import Deltoid
 from .structure import ObstructionWitness, verify_witness
 from .transform import subgroup_terms
 
@@ -59,18 +60,6 @@ def _rho_is_infinite(D: Deltoid) -> bool:
     return mask != D.full_mask
 
 
-def _or_table(D: Deltoid, subset_bound: int) -> array:
-    n = D.size
-    if n > subset_bound:
-        raise ResourceLimitError(f"|A| = {n} exceeds subset sweep bound {subset_bound}")
-    rows = D.rows
-    table = array("Q", bytes(8 << n))
-    for m in range(1, 1 << n):
-        low = m & -m
-        table[m] = table[m ^ low] | rows[low.bit_length() - 1]
-    return table
-
-
 def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     """Right partition number by the definitional subset sweep.
 
@@ -80,14 +69,12 @@ def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     if _rho_is_infinite(D):
         return math.inf
     n = D.size
-    table = _or_table(D, subset_bound)
-    best = 1
-    for m in range((1 << n) - 1):
-        u = n - table[m].bit_count()
-        term = _ceil_div(u, n - m.bit_count())
-        if term > best:
-            best = term
-    return best
+    table = subset_neighborhoods(D, subset_bound)
+    # ceil(u / r) is -(-u // r), with -|U_S| = |delta(S)| - n and r = n - |S|;
+    # the sizes stop before S = A.  The maps keep the scan in C.
+    neg_u = map(sub, map(int.bit_count, table), repeat(n))
+    rest = map(sub, repeat(n), map(int.bit_count, range(len(table) - 1)))
+    return max(1, -min(map(floordiv, neg_u, rest)))
 
 
 def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
@@ -95,17 +82,14 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
 
     Always finite since delta(S) is nonempty for nonempty S.
     """
-    n = D.size
-    table = _or_table(D, subset_bound)
-    best = 1
-    for m in range(1, 1 << n):
-        d = table[m].bit_count()
-        if d == 0:
-            raise InternalInconsistencyError("nonempty S with empty neighborhood")
-        term = _ceil_div(m.bit_count(), d)
-        if term > best:
-            best = term
-    return best
+    table = subset_neighborhoods(D, subset_bound)
+    # ceil(|S| / |delta(S)|) is -(-|S| // |delta(S)|) over the nonempty S
+    neg_sizes = map(neg, map(int.bit_count, range(1, len(table))))
+    degrees = map(int.bit_count, islice(table, 1, None))
+    try:
+        return max(1, -min(map(floordiv, neg_sizes, degrees)))
+    except ZeroDivisionError:
+        raise InternalInconsistencyError("nonempty S with empty neighborhood") from None
 
 
 def _transposed(D: Deltoid) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Finite subsets of a group and validated matching instances.
+"""Validated matching instances and the neighborhoods of their subsets.
 
 A matching instance is a pair (A, B) of equal-size finite subsets with the
 identity excluded from B.  Its edge set pairs a in A with b in B whenever
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .groups import (
     Element,
-    GroupSpec,
+    GroupSet,
     _MASK_BITS_PER_ELEMENT,
     _check_dimension,
     _Masks,
@@ -31,55 +31,6 @@ from .groups import (
     compose,
     order,
 )
-
-
-@dataclass(frozen=True)
-class GroupSet:
-    """A deduplicated, canonically sorted finite subset of a group.
-
-    Build one with :meth:`of`; the raw constructor trusts its input.
-    """
-
-    group: GroupSpec
-    elements: tuple[Element, ...]
-
-    @classmethod
-    def of(cls, group: GroupSpec, elements) -> "GroupSet":
-        canon = sorted({canonicalize(group, e) for e in elements})
-        return cls(group, tuple(canon))
-
-    @cached_property
-    def member_set(self) -> frozenset[Element]:
-        return frozenset(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.member_set
-
-    def _same_group(self, other: "GroupSet") -> None:
-        if self.group != other.group:
-            raise GroupMismatchError("sets live in different groups")
-
-    def union(self, other: "GroupSet") -> "GroupSet":
-        self._same_group(other)
-        return GroupSet(self.group, tuple(sorted(self.member_set | other.member_set)))
-
-    def intersection(self, other: "GroupSet") -> "GroupSet":
-        self._same_group(other)
-        return GroupSet(self.group, tuple(sorted(self.member_set & other.member_set)))
-
-    def difference(self, other: "GroupSet") -> "GroupSet":
-        self._same_group(other)
-        return GroupSet(self.group, tuple(sorted(self.member_set - other.member_set)))
-
-    def issubset(self, other: "GroupSet") -> bool:
-        self._same_group(other)
-        return self.member_set <= other.member_set
 
 
 @dataclass(frozen=True)

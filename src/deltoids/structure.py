@@ -19,8 +19,8 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_ORDER_BOUND,
+    GroupSet,
     GroupSpec,
-    Subgroup,
     cosets_of,
     elements_of,
     enumerate_subgroups,
@@ -28,7 +28,7 @@ from .groups import (
     generate_subgroup,
 )
 from .matching import Verdict
-from .sets import Deltoid, GroupSet
+from .sets import Deltoid
 from .transform import subgroup_terms
 
 
@@ -107,7 +107,7 @@ def verify_witness(D: Deltoid, w: ObstructionWitness) -> Verdict:
 
 def _proper_nontrivial(
     group: GroupSpec, order_bound: int
-) -> tuple[list[Subgroup], int]:
+) -> tuple[list[GroupSet], int]:
     subs = enumerate_subgroups(group, order_bound)
     whole = group.order
     proper = [h for h in subs if 1 < len(h.elements) < whole]
@@ -118,7 +118,7 @@ def _proper_nontrivial(
 
 def existence_predicate(
     group: GroupSpec, n: int, level: int, order_bound: int = DEFAULT_ORDER_BOUND
-) -> Subgroup | None:
+) -> GroupSet | None:
     """A subgroup H with |H| <= n and |H| dividing none of n+1 .. n+level+1.
 
     Such a subgroup exists iff some pair (A, B) with |A| = |B| = n and the

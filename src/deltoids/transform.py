@@ -20,6 +20,7 @@ from .errors import (
 from .groups import (
     DEFAULT_ORDER_BOUND,
     Element,
+    GroupSet,
     canonicalize,
     compose,
     enumerate_subgroups,
@@ -27,7 +28,7 @@ from .groups import (
     invert,
 )
 from .matching import Verdict
-from .sets import Deltoid, GroupSet
+from .sets import Deltoid
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,9 @@ class StabilizerPair:
         b_or_identity = D.B.union(GroupSet.of(group, [group.identity]))
         if not self.R.issubset(b_or_identity):
             return Verdict(False, "R is not a subset of B plus identity")
-        s_members = self.S.member_set
-        for s in self.S.elements:
-            for r in self.R.elements:
-                if compose(group, s, r) not in s_members:
-                    return Verdict(False, f"{s}*{r} leaves S, so S*R != S")
+        escape = _escape(self.S, self.R, self.S.member_set)
+        if escape is not None:
+            return Verdict(False, "{}*{} leaves S, so S*R != S".format(*escape))
         expected = len(self.S.elements) - len(D.B.difference(self.R).elements)
         if self.value != expected:
             return Verdict(False, f"value {self.value} != |S| - |B \\ R| = {expected}")
@@ -87,10 +86,10 @@ def e_transform_step(
     return s1, r1
 
 
-def _find_witness_pair(S: GroupSet, R: GroupSet) -> tuple[Element, Element] | None:
-    # First (e, r) in canonical order with e*r outside S; None when S*R = S.
+def _escape(S: GroupSet, R: GroupSet, members) -> tuple[Element, Element] | None:
+    # First (e, r) in canonical order with e*r outside members; None when
+    # S*R lies inside.  With members = S, this is an e-transform witness.
     group = S.group
-    members = S.member_set
     for e in S.elements:
         for r in R.elements:
             if compose(group, e, r) not in members:
@@ -113,13 +112,11 @@ def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet
         raise InvalidInputError("S and R must be nonempty")
     if group.identity not in R:
         raise InvalidInputError("identity must be in R")
-    members = A.member_set
-    for s in S.elements:
-        for r in R.elements:
-            if compose(group, s, r) not in members:
-                raise InvalidInputError(f"S*R leaves A at {s}*{r}")
+    escape = _escape(S, R, A.member_set)
+    if escape is not None:
+        raise InvalidInputError("S*R leaves A at {}*{}".format(*escape))
     while True:
-        witness = _find_witness_pair(S, R)
+        witness = _escape(S, R, S.member_set)
         if witness is None:
             return S, R
         S, R = e_transform_step(S, R, *witness)

@@ -16,6 +16,7 @@ from deltoids import (
     cosets_of,
     elements_of,
     enumerate_subgroups,
+    invert,
 )
 
 Z3 = GroupSpec((3,))
@@ -71,6 +72,12 @@ def chain_deltoid(n, transposed=False):
                 cols[low.bit_length() - 1] |= 1 << i
                 row ^= low
         rows = cols
+    return rows_deltoid(rows)
+
+
+def rows_deltoid(rows):
+    """A Deltoid carrying the given adjacency rows, with placeholder elements."""
+    n = len(rows)
     group = GroupSpec((2 * n,))
     A = GroupSet(group, tuple((i,) for i in range(n)))
     B = GroupSet(group, tuple((i,) for i in range(n, 2 * n)))
@@ -138,6 +145,21 @@ def random_witnessed_instance(rng, group=Z12):
     z_elems = rng.sample(pool, n - len(r_elems))
     B = GroupSet.of(group, r_elems + z_elems)
     return build_deltoid(A, B)
+
+
+def is_subgroup(S):
+    """Closure oracle: S holds the identity and is closed under compose and invert."""
+    g = S.group
+    members = S.member_set
+    if g.identity not in members:
+        return False
+    for x in S.elements:
+        if invert(g, x) not in members:
+            return False
+        for y in S.elements:
+            if compose(g, x, y) not in members:
+                return False
+    return True
 
 
 def brute_delta_elems(D, s_elems):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from deltoids import InternalInconsistencyError, cli
 from deltoids.cli import main
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "z12-paper.json")
@@ -263,14 +264,6 @@ def test_unknown_subcommand_exits_two(capsys):
     assert code == 2 and "usage" in err
 
 
-def test_pretty_rendering(capsys):
-    code, out, _ = run_cli(capsys, "--pretty", "deficiency", FIXTURE)
-    assert code == 0
-    assert "delta: 3" in out
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(out)
-
-
 def _one_line_error(code, out, err):
     return code == 2 and not out and err.startswith("deltoids: ") and err.count("\n") == 1
 
@@ -307,3 +300,45 @@ def test_non_integer_coordinates_exit_two(capsys, tmp_path, bad):
         path.write_text(json.dumps(cert), encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(path))
         assert _one_line_error(code, out, err) and "integers" in err, name
+
+    # the report schema says "integer", minimum 0; these used to verify as valid
+    counts = {
+        "defect": {"kind": "matching", "pairs": [], "defect": bad},
+        "level": {"kind": "witness", "S": [[0]], "R": [[2]], "Y": [], "Z": [], "level": bad},
+        "negative": {"kind": "matching", "pairs": [], "defect": -1},
+    }
+    for name, cert in counts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cert), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(path))
+        assert _one_line_error(code, out, err) and "nonnegative integer" in err, name
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000, b"[" + b"1" * 5000 + b"]"],
+    ids=["utf16_bom", "deep_nesting", "huge_integer"],
+)
+def test_unreadable_json_exits_two(capsys, tmp_path, content):
+    # not UTF-8, nested past the parser's recursion limit, or an integer
+    # past int()'s digit limit: each used to end in a traceback with exit 1
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "deficiency", str(path))
+    assert _one_line_error(code, out, err) and str(path) in err
+    code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(path))
+    assert _one_line_error(code, out, err) and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "fault", [InternalInconsistencyError("broken invariant"), KeyError("lost")],
+    ids=["inconsistency", "key_error"],
+)
+def test_internal_fault_exits_four(capsys, monkeypatch, fault):
+    def handler(D):
+        raise fault
+
+    monkeypatch.setattr(cli, "deficiency", handler)
+    code, out, err = run_cli(capsys, "deficiency", FIXTURE)
+    assert code == 4 and not out and err.count("\n") == 1
+    assert err.startswith("deltoids: internal error: ")

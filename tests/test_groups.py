@@ -12,8 +12,8 @@ from deltoids import (
     GroupSpec,
     InfiniteSubgroupError,
     InvalidElementError,
+    GroupSet,
     ResourceLimitError,
-    Subgroup,
     UnsupportedInfiniteGroupError,
     canonicalize,
     compose,
@@ -27,7 +27,18 @@ from deltoids import (
     parse_group,
 )
 from deltoids.groups import _Masks
-from helpers import GOLDEN_A, TRIVIAL, Z2xZ, Z2xZ2, Z2xZ4, Z6, Z12, bucket_full_cosets, cyc
+from helpers import (
+    GOLDEN_A,
+    TRIVIAL,
+    Z2xZ,
+    Z2xZ2,
+    Z2xZ4,
+    Z6,
+    Z12,
+    bucket_full_cosets,
+    cyc,
+    is_subgroup,
+)
 
 
 def test_compose_examples():
@@ -106,7 +117,7 @@ def test_generate_subgroup_closed_for_small_generating_sets():
     elems = elements_of(Z12)
     for size in range(4):
         for gens in combinations(elems, size):
-            assert generate_subgroup(Z12, gens).validate()
+            assert is_subgroup(generate_subgroup(Z12, gens))
 
 
 def test_enumerate_subgroups_orders():
@@ -197,7 +208,7 @@ def test_full_cosets_within_huge_torsion_order():
     # plain lookup path; it must agree with bucketing and stay small
     group = GroupSpec((2 * 10**18,), 1)
     half = 10**18
-    H = Subgroup(group, ((0, 0), (half, 0)))
+    H = GroupSet(group, ((0, 0), (half, 0)))
     rng = random.Random(5)
     for _ in range(100):
         S = {(rng.choice([0, 1, half, half + 1]), rng.randint(-1, 1)) for _ in range(6)}
@@ -249,8 +260,14 @@ def test_enumerate_subgroups_counts():
 
 
 def test_subgroup_validate_rejects_non_subgroup():
-    assert not Subgroup(Z12, ((0,), (1,))).validate()
-    assert not Subgroup(Z12, ((1,),)).validate()
+    assert not is_subgroup(GroupSet(Z12, ((0,), (1,))))
+    assert not is_subgroup(GroupSet(Z12, ((1,),)))
+
+
+def test_enumerated_subgroups_are_closed_group_sets():
+    for literal in ("Z12", "Z2xZ4", "Z2xZ2xZ2"):
+        for H in enumerate_subgroups(parse_group(literal)):
+            assert type(H) is GroupSet and is_subgroup(H)
 
 
 def test_group_literals_round_trip():
@@ -261,6 +278,7 @@ def test_group_literals_round_trip():
 
 
 def test_group_literal_errors():
-    for bad in ("", "Q8", "Z0", "Z-2", "ZxZ2", "Z2x", "z12"):
+    # int() refuses a superscript digit and more than 4,300 digits
+    for bad in ("", "Q8", "Z0", "Z-2", "ZxZ2", "Z2x", "z12", "Z\u00b2", "Z" + "9" * 5000):
         with pytest.raises(InvalidElementError):
             parse_group(bad)

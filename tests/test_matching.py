@@ -19,7 +19,7 @@ from deltoids import (
     partial_matching_with_defect,
     verify_matching,
 )
-from deltoids.matching import assign
+from deltoids.matching import assign, subset_neighborhoods
 from helpers import (
     Z2xZ,
     Z2xZ4,
@@ -35,6 +35,7 @@ from helpers import (
     golden_deltoid,
     gset,
     random_instance,
+    rows_deltoid,
 )
 
 
@@ -133,6 +134,21 @@ def test_deficiency_by_subsets_examples():
 def test_deficiency_by_subsets_bound():
     with pytest.raises(ResourceLimitError):
         deficiency_by_subsets(golden_deltoid(), subset_bound=7)
+
+
+def test_subset_neighborhoods_against_or_of_rows():
+    rng = random.Random(11)
+    for n in range(1, 11):
+        for _ in range(5):
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            table = subset_neighborhoods(rows_deltoid(rows))
+            assert len(table) == 1 << n
+            for m in range(1 << n):
+                expected = 0
+                for i in range(n):
+                    if m >> i & 1:
+                        expected |= rows[i]
+                assert table[m] == expected
 
 
 def test_oracle_agreement_exhaustive_and_brute():

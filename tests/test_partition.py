@@ -72,6 +72,11 @@ def test_rho_sweep_bound():
         rho(golden_deltoid(), subset_bound=7)
 
 
+def test_lambda_sweep_bound():
+    with pytest.raises(ResourceLimitError):
+        lambda_(golden_deltoid(), subset_bound=7)
+
+
 def test_lambda_golden():
     D = golden_deltoid()
     assert lambda_(D) == 2
