@@ -275,6 +275,12 @@ def _cmd_partition(args) -> tuple[int, dict]:
     deltoid, echo, warnings = load_instance(args.instance)
     side = args.side
     k = args.k
+    if k is not None and k > deltoid.size:
+        whole = "A" if side == "left" else "B"
+        raise ResourceLimitError(
+            f"--k {k} exceeds the bound |{whole}| = {deltoid.size}: "
+            f"classes past |{whole}| are always empty"
+        )
     if k is None:
         if side == "left":
             k = lambda_by_feasibility(deltoid)

@@ -5,7 +5,10 @@ maximum matching over the adjacency, and the definitional sweep over all
 2^|A| subsets that maximizes |S| - |delta(S)| (the defect form of Hall's
 condition).  They are cross-checked against each other in the test suite.
 The augmenting search is the capacity-k assign, which also builds the
-admissible partitions.
+admissible partitions.  Whatever is shown as a certificate (matching pairs,
+partition classes) comes from its Kuhn order; a call that needs only how
+many sources stay unplaced (deficiency, the least-k probes behind rho and
+lambda) searches with lookahead, which finds the same count faster.
 """
 
 from __future__ import annotations
@@ -44,32 +47,49 @@ class PartialMatching:
     defect: int
 
 
-def assign(masks, k: int) -> tuple[list[list[int]], int]:
+def assign(masks, k: int, lookahead: bool = False) -> tuple[list[list[int]], int]:
     """Give each source a target from its bitmask, each target holding at most k.
 
     Bit t of masks[i] lets source i use target t; there are as many targets
     as sources.  Returns holders[target], the sources placed there, and the
     number of sources left unplaced.  An iterative Kuhn search, deterministic for
     fixed input: sources are placed in index order, targets scanned low bit
-    first with the visited set reset per source, and a full target's
-    holders tried in list order.  On success each source on the path moves
-    to the end of the holder list of the target its child left.
+    first, and a full target's holders tried in list order.  On success each
+    source on the path moves to the end of the holder list of the target its
+    child left.
+
+    The visited set is reset per source to the dead set.  A source that
+    fails leaves every target it visited full, with every holder of those
+    targets having all its candidates among them; no later augmenting path
+    can pass through them, so they stay dead for later sources.  Skipping
+    them changes neither the live targets visited nor their order.
+
+    With lookahead, each step takes the lowest candidate that still has
+    room, if any, before descending into a full one.  The unplaced count is
+    the same (every search finds a maximum assignment), but the holders
+    differ, so only callers that read the count alone pass it.
     """
     holders: list[list[int]] = [[] for _ in masks]
     unplaced = 0
+    dead = 0
+    free = (1 << len(masks)) - 1  # targets holding fewer than k sources
     for root in range(len(masks)):
-        visited = 0
+        visited = dead
         # frames are [source, holder list of the target it tries, next index]
         path = [[root, None, 0]]
         while path:
             frame = path[-1]
             cand = masks[frame[0]] & ~visited
             if cand:
+                if lookahead and cand & free:
+                    cand &= free
                 low = cand & -cand
                 visited |= low
                 bucket = holders[low.bit_length() - 1]
                 if len(bucket) < k:
                     bucket.append(frame[0])
+                    if len(bucket) == k:
+                        free ^= low
                     for src, parent_bucket, nxt in path[:-1]:
                         del parent_bucket[nxt - 1]
                         parent_bucket.append(src)
@@ -89,6 +109,7 @@ def assign(masks, k: int) -> tuple[list[list[int]], int]:
                     frame[2] += 1
         else:
             unplaced += 1
+            dead = visited
     return holders, unplaced
 
 
@@ -96,9 +117,10 @@ def max_matching(D: Deltoid) -> PartialMatching:
     """A maximum-cardinality partial matching, deterministic for fixed input.
 
     Rows are augmented in canonical order and columns scanned in canonical
-    order, so equal inputs give byte-equal outputs.
+    order, so equal inputs give byte-equal outputs.  The search runs once
+    per deltoid and is cached on it.
     """
-    holders, unplaced = assign(D.rows, 1)
+    holders, unplaced = D.row_assignment
     a_elems = D.A.elements
     b_elems = D.B.elements
     pairs = tuple(
@@ -110,7 +132,7 @@ def max_matching(D: Deltoid) -> PartialMatching:
 
 def deficiency(D: Deltoid) -> int:
     """Smallest achievable defect: |A| minus the maximum matching size."""
-    return max_matching(D).defect
+    return assign(D.rows, 1, lookahead=True)[1]
 
 
 def partial_matching_with_defect(D: Deltoid, d: int) -> PartialMatching | None:

@@ -92,16 +92,6 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
         raise InternalInconsistencyError("nonempty S with empty neighborhood") from None
 
 
-def _transposed(D: Deltoid) -> tuple[int, ...]:
-    # zip regroups the bit matrix by columns in C; a Python loop over the
-    # set bits is about ten times slower at n = 1100.  Rows go in reversed
-    # so row i lands on bit i; the strings list column n - 1 first.
-    n = D.size
-    bits = [format(row, f"0{n}b") for row in reversed(D.rows)]
-    cols = [int("".join(col), 2) for col in zip(*bits)]
-    return tuple(reversed(cols))
-
-
 def _split_classes(D: Deltoid, holders, k: int, side: str) -> AdmissiblePartition:
     # Slot h-th holder of each target into class h; each class sees every
     # target at most once, so its pairs form a valid partial matching.
@@ -134,7 +124,7 @@ def partition_left(D: Deltoid, k: int) -> AdmissiblePartition | None:
     """Split A into k disjoint left-admissible classes, or None if infeasible."""
     if k < 1:
         raise InvalidParametersError("k must be positive")
-    holders, unplaced = assign(D.rows, k)
+    holders, unplaced = D.row_assignment if k == 1 else assign(D.rows, k)
     if unplaced:
         return None
     return _split_classes(D, holders, k, "left")
@@ -144,7 +134,7 @@ def partition_right(D: Deltoid, k: int) -> AdmissiblePartition | None:
     """Split B into k disjoint right-admissible classes, or None if infeasible."""
     if k < 1:
         raise InvalidParametersError("k must be positive")
-    holders, unplaced = assign(_transposed(D), k)
+    holders, unplaced = assign(D.columns, k)
     if unplaced:
         return None
     return _split_classes(D, holders, k, "right")
@@ -180,15 +170,16 @@ def validate_partition(D: Deltoid, p: AdmissiblePartition) -> Verdict:
 
 def _least_k(masks) -> int:
     # Feasibility is monotone in k and k = len(masks) always suffices here,
-    # so double k from 1 until every source is placed, then bisect.
+    # so double k from 1 until every source is placed, then bisect.  The
+    # probes read only the unplaced count, so they search with lookahead.
     n = len(masks)
     k = 1
-    while k < n and assign(masks, k)[1]:
+    while k < n and assign(masks, k, lookahead=True)[1]:
         k *= 2
     lo, hi = k // 2 + 1, min(k, n)
     while lo < hi:
         mid = (lo + hi) // 2
-        if assign(masks, mid)[1]:
+        if assign(masks, mid, lookahead=True)[1]:
             lo = mid + 1
         else:
             hi = mid
@@ -204,7 +195,7 @@ def rho_by_feasibility(D: Deltoid) -> int:
     """Exact finite rho as the least feasible size; InfiniteRhoError when infinite."""
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
-    return _least_k(_transposed(D))
+    return _least_k(D.columns)
 
 
 def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:

@@ -84,6 +84,57 @@ def rows_deltoid(rows):
     return Deltoid(A, B, tuple(rows))
 
 
+def reference_assign(masks, k: int) -> tuple[list[list[int]], int]:
+    """Give each source a target from its bitmask, each target holding at most k.
+
+    The Kuhn search without the dead set or the lookahead, kept as the
+    reference that assign's default order must match exactly.
+
+    Bit t of masks[i] lets source i use target t; there are as many targets
+    as sources.  Returns holders[target], the sources placed there, and the
+    number of sources left unplaced.  An iterative Kuhn search, deterministic for
+    fixed input: sources are placed in index order, targets scanned low bit
+    first with the visited set reset per source, and a full target's
+    holders tried in list order.  On success each source on the path moves
+    to the end of the holder list of the target its child left.
+    """
+    holders: list[list[int]] = [[] for _ in masks]
+    unplaced = 0
+    for root in range(len(masks)):
+        visited = 0
+        # frames are [source, holder list of the target it tries, next index]
+        path = [[root, None, 0]]
+        while path:
+            frame = path[-1]
+            cand = masks[frame[0]] & ~visited
+            if cand:
+                low = cand & -cand
+                visited |= low
+                bucket = holders[low.bit_length() - 1]
+                if len(bucket) < k:
+                    bucket.append(frame[0])
+                    for src, parent_bucket, nxt in path[:-1]:
+                        del parent_bucket[nxt - 1]
+                        parent_bucket.append(src)
+                    break
+                frame[1] = bucket
+                frame[2] = 1
+                path.append([bucket[0], None, 0])
+                continue
+            # no target left: the parent tries its next holder, or else
+            # goes back to scanning its own targets
+            path.pop()
+            if path:
+                frame = path[-1]
+                bucket = frame[1]
+                if frame[2] < len(bucket):
+                    path.append([bucket[frame[2]], None, 0])
+                    frame[2] += 1
+        else:
+            unplaced += 1
+    return holders, unplaced
+
+
 def universe_for(group, span=3):
     """All candidate elements; free coordinates restricted to [-span, span]."""
     if group.is_finite:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: reports, certificates, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,20 @@ def test_partition_right_least_k_above_sweep_bound(capsys, tmp_path):
     assert code == 0 and verify_report["results"]["valid"] is True
     code, report, _ = run_json(capsys, "partition", instance, "--side", "right", "--k", "1")
     assert code == 1 and report["results"]["feasible"] is False
+
+
+def test_partition_k_bounded_by_side_size(capsys):
+    # the fixture has |A| = |B| = 8; k = 8 still pads with empty classes
+    code, report, _ = run_json(capsys, "partition", FIXTURE, "--side", "right", "--k", "8")
+    assert code == 0 and report["results"]["class_sizes"] == [5, 1, 1, 1, 0, 0, 0, 0]
+    for side, whole in (("left", "|A|"), ("right", "|B|")):
+        for k in ("9", "100000"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "partition", FIXTURE, "--side", side, "--k", k)
+            assert time.perf_counter() - start < 1.0
+            assert code == 3 and out == ""
+            assert err.count("\n") == 1
+            assert f"bound {whole} = 8" in err and "always empty" in err
 
 
 def test_construct(capsys):

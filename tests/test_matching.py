@@ -35,6 +35,7 @@ from helpers import (
     golden_deltoid,
     gset,
     random_instance,
+    reference_assign,
     rows_deltoid,
 )
 
@@ -63,6 +64,35 @@ def test_assign_capacity_and_unplaced_count():
     assert assign([1, 1, 1], 2) == ([[0, 1], [], []], 1)
     # a full target's holder moves on and the newcomer joins the end of the list
     assert assign([0b01, 0b11, 0b01], 2) == ([[0, 2], [1], []], 0)
+
+
+def random_masks(rng, n, density):
+    return [sum(1 << t for t in range(n) if rng.random() < density) for _ in range(n)]
+
+
+def test_assign_matches_reference_and_lookahead_keeps_the_count():
+    rng = random.Random(6)
+    for _ in range(20_000):
+        n = rng.randint(1, 14)
+        k = rng.randint(1, 3)
+        masks = random_masks(rng, n, rng.random())
+        expected = reference_assign(masks, k)
+        assert assign(masks, k) == expected, (masks, k)
+        assert assign(masks, k, lookahead=True)[1] == expected[1], (masks, k)
+
+
+def test_assign_strongly_deficient_keeps_reference_order():
+    # 40 sources crowd onto targets 0..3, so most fail and leave those
+    # targets dead; the 24 later sources reach the dead targets as well as
+    # live ones, and must place exactly as the reference does
+    rng = random.Random(61)
+    masks = [rng.randint(1, 0b1111) for _ in range(40)]
+    masks += [rng.getrandbits(64) | rng.randint(1, 0b1111) for _ in range(24)]
+    for k in (1, 2, 3):
+        expected = reference_assign(masks, k)
+        assert expected[1] == 40 - 4 * k
+        assert assign(masks, k) == expected
+        assert assign(masks, k, lookahead=True)[1] == expected[1]
 
 
 def test_max_matching_singleton():

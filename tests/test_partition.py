@@ -20,6 +20,7 @@ from deltoids import (
     lambda_,
     lambda_by_feasibility,
     lambda_lower_bound,
+    max_matching,
     partition_left,
     partition_right,
     rho,
@@ -151,6 +152,23 @@ def test_partition_pads_with_empty_classes():
     assert part is not None and len(part.classes) == 3
     assert [len(c.elements) for c in part.classes] == [1, 0, 0]
     assert validate_partition(D, part)
+
+
+def test_max_matching_and_one_class_partition_share_one_search():
+    # both read the deltoid's cached Kuhn search; either call order must
+    # give what each gives on a fresh deltoid, so neither changes the cache
+    rng = random.Random(66)
+    instances = [golden_deltoid()] + [random_instance(rng, Z12, max_size=10) for _ in range(60)]
+    assert any(partition_left(D, 1) is not None for D in instances)
+    for D in instances:
+        fresh = build_deltoid(D.A, D.B), build_deltoid(D.A, D.B)
+        expected = repr(max_matching(fresh[0])), repr(partition_left(fresh[1], 1))
+        D1 = build_deltoid(D.A, D.B)
+        matching_first = repr(max_matching(D1)), repr(partition_left(D1, 1))
+        D2 = build_deltoid(D.A, D.B)
+        left = repr(partition_left(D2, 1))
+        partition_first = repr(max_matching(D2)), left
+        assert matching_first == partition_first == expected
 
 
 def test_partition_feasibility_matches_inequalities_and_thresholds():

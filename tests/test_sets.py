@@ -36,6 +36,7 @@ from helpers import (
     exhaustive_instances,
     golden_deltoid,
     gset,
+    random_instance,
     subsets_of,
 )
 
@@ -104,6 +105,18 @@ def test_build_deltoid_rows_match_plain_sets():
                         B.add(x)
                 A, B = GroupSet.of(group, A[: len(B)]), GroupSet.of(group, B)
                 assert build_deltoid(A, B).rows == brute_rows(A, B), (literal, A, B)
+
+
+def test_columns_transpose_rows():
+    rng = random.Random(57)
+    instances = [golden_deltoid()]
+    instances += [random_instance(rng, Z12, max_size=11) for _ in range(100)]
+    for D in instances:
+        n = D.size
+        assert len(D.columns) == n
+        for i in range(n):
+            for j in range(n):
+                assert (D.columns[j] >> i & 1) == (D.rows[i] >> j & 1), (D, i, j)
 
 
 def test_build_deltoid_trivial_group_and_wrong_length():
