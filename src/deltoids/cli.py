@@ -28,6 +28,7 @@ from .matching import (
     PartialMatching,
     deficiency,
     deficiency_by_subsets,
+    max_matching,
     partial_matching_with_defect,
     verify_matching,
 )
@@ -224,7 +225,7 @@ def _cmd_match(args) -> tuple[int, dict]:
         results = {
             "present": False,
             "defect": args.defect,
-            "deficiency": deficiency(deltoid),
+            "deficiency": max_matching(deltoid).defect,
             "reason": "no matching with requested defect: deficiency exceeds it",
         }
         return 1, _report("match", echo, results, warnings=warnings)

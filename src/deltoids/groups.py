@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress, product
 from math import gcd, lcm, prod
+from operator import and_, or_
 
 from .errors import (
     GroupMismatchError,
@@ -262,46 +263,56 @@ class _Masks:
         return tuple(compress(universe, bits))
 
 
-def _join(masks: _Masks, base: int, x: Element) -> int:
-    # Subgroup generated by base (a subgroup mask) and one extra element:
-    # the union of the translates base + k*x, doubling the run of k each
-    # round until the union is closed under x.
-    joined = base | masks.translate(base, x)
+def _saturate(masks: _Masks, mask: int, x: Element, combine) -> int:
+    # combine = or_: the least superset of mask closed under +x; and_: the
+    # greatest subset.  Doubles the run of translates mask + k*x until closed.
+    out = combine(mask, masks.translate(mask, x))
     step = x
-    while masks.translate(joined, x) != joined:
+    while out and masks.translate(out, x) != out:
         step = tuple(2 * c for c in step)
-        joined |= masks.translate(joined, step)
-    return joined
+        out = combine(out, masks.translate(out, step))
+    return out
 
 
-@lru_cache(maxsize=256)
-def _enumerate_subgroups_cached(group: GroupSpec, order_bound: int) -> tuple[GroupSet, ...]:
+def _search_subgroups(group: GroupSpec, order_bound: int, generators=None, within=None):
+    """Subgroups generated by `generators` (default: every element) that
+    have a full coset in the finite set `within` (default: the group).
+
+    From the trivial subgroup, joins one generator per coset of the
+    subgroup being grown.  A subgroup H carries the mask of the x with
+    x + H inside `within`, ANDed from the mask of the subgroup it grew
+    from; at 0 H is dropped ungrown, since no supergroup has a full coset
+    either.  Returns the kernel and the (H, full-coset) mask pairs kept,
+    in canonical order: size, then elements.
+    """
     if not group.is_finite:
-        raise UnsupportedInfiniteGroupError("subgroup enumeration needs a finite group")
+        raise UnsupportedInfiniteGroupError("subgroup formulas need a finite group")
     if group.order > order_bound:
         raise ResourceLimitError(
             f"group order {group.order} exceeds enumeration bound {order_bound}"
         )
     masks = _Masks(group)
-    everything = elements_of(group)
-    trivial = 1  # the identity has code 0
-    known = {trivial}
-    stack = [trivial]
+    if generators is None:
+        generators = elements_of(group)
+    gens = [(masks.code(x), x) for x in generators]
+    found = {1: masks.full if within is None else sum(1 << masks.code(x) for x in within)}
+    stack = [1]  # the trivial subgroup: the identity has code 0
     while stack:
         base = stack.pop()
         covered = base
-        for code, x in enumerate(everything):
+        for code, x in gens:
             if covered >> code & 1:
                 continue
             # every element of the coset x + base gives the same join
             covered |= masks.translate(base, x)
-            joined = _join(masks, base, x)
-            if joined not in known:
-                known.add(joined)
-                stack.append(joined)
-    subs = [GroupSet(group, masks.members(h, everything)) for h in known]
-    subs.sort(key=lambda h: (len(h.elements), h.elements))
-    return tuple(subs)
+            joined = _saturate(masks, base, x, or_)
+            if joined not in found:
+                found[joined] = _saturate(masks, found[base], x, and_)
+                if found[joined]:
+                    stack.append(joined)
+    codes = range(group.order)
+    return masks, sorted(((h, full) for h, full in found.items() if full),
+                         key=lambda item: (item[0].bit_count(), masks.members(item[0], codes)))
 
 
 def enumerate_subgroups(
@@ -309,12 +320,13 @@ def enumerate_subgroups(
 ) -> list[GroupSet]:
     """Every subgroup of a finite group, each exactly once.
 
-    Computed by closing the trivial subgroup under joins with single
-    elements until no new subgroup appears.  Output is sorted by size and
-    then lexicographically by element tuple, so it is deterministic.
-    Results are cached per group since they never change.
+    The subgroup search over every element, nothing cached: a subgroup is
+    the join of a chain of its elements from the trivial one, so none is
+    missed.  Sorted by size, then lexicographically by element tuple.
     """
-    return list(_enumerate_subgroups_cached(group, order_bound))
+    masks, found = _search_subgroups(group, order_bound)
+    everything = elements_of(group)
+    return [GroupSet(group, masks.members(h, everything)) for h, _ in found]
 
 
 def full_cosets_within(group: GroupSpec, elements, sub: GroupSet) -> tuple[Element, ...]:

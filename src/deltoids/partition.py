@@ -199,10 +199,10 @@ def rho_by_feasibility(D: Deltoid) -> int:
 
 
 def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
-    """Finite rho as a maximum over subgroups H meeting B.
+    """Finite rho as a maximum over the subgroups of subgroup_terms.
 
-    Each such H contributes ceil(|B n H| / (|A| - |full H-cosets in A|));
-    the floor of 1 comes from the empty-S pair.  Requires rho finite.
+    Each H contributes ceil(|B n H| / (|A| - |full H-cosets in A|)); the
+    floor of 1 comes from the empty-S pair.  Requires rho finite.
     """
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
@@ -223,8 +223,6 @@ def lambda_lower_bound(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> in
     n = D.size
     best = 1
     for full, inside in subgroup_terms(D, order_bound):
-        if not full.elements:
-            continue
         denom = n - len(inside.elements)
         if denom <= 0:
             raise InternalInconsistencyError("B inside a subgroup with a full coset in A")

@@ -51,12 +51,12 @@ def find_witness(
     For each subgroup H the only candidates worth trying are R = B n H and
     S = the full H-cosets inside A: shrinking R weakens |R| - level and S
     cannot grow past the full cosets.  A witness exists for some (S, R) iff
-    one exists of this restricted shape.
+    one exists of this restricted shape.  Every term has S nonempty.
     """
     if level < 0:
         raise InvalidParametersError("level must be nonnegative")
     for S, R in subgroup_terms(D, order_bound):
-        if S.elements and D.size - len(S.elements) < len(R.elements) - level:
+        if D.size - len(S.elements) < len(R.elements) - level:
             return ObstructionWitness(
                 S=S,
                 R=R,
@@ -105,17 +105,6 @@ def verify_witness(D: Deltoid, w: ObstructionWitness) -> Verdict:
     return Verdict(True)
 
 
-def _proper_nontrivial(
-    group: GroupSpec, order_bound: int
-) -> tuple[list[GroupSet], int]:
-    subs = enumerate_subgroups(group, order_bound)
-    whole = group.order
-    proper = [h for h in subs if 1 < len(h.elements) < whole]
-    if not proper:
-        raise InvalidParametersError("group has no nontrivial proper subgroup")
-    return proper, len(proper[0].elements)
-
-
 def existence_predicate(
     group: GroupSpec, n: int, level: int, order_bound: int = DEFAULT_ORDER_BOUND
 ) -> GroupSet | None:
@@ -129,7 +118,10 @@ def existence_predicate(
         raise InvalidParametersError("existence search needs a finite group")
     if level < 0:
         raise InvalidParametersError("level must be nonnegative")
-    proper, n0 = _proper_nontrivial(group, order_bound)
+    proper = [h for h in enumerate_subgroups(group, order_bound) if 1 < len(h) < group.order]
+    if not proper:
+        raise InvalidParametersError("group has no nontrivial proper subgroup")
+    n0 = len(proper[0].elements)
     if not n0 <= n < group.order:
         raise InvalidParametersError(
             f"n must satisfy {n0} <= n < {group.order}, got {n}"

@@ -10,21 +10,17 @@ enumeration in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .errors import (
-    GroupMismatchError,
-    InvalidInputError,
-    InvalidWitnessError,
-    UnsupportedInfiniteGroupError,
-)
+from .errors import GroupMismatchError, InvalidInputError, InvalidWitnessError
 from .groups import (
     DEFAULT_ORDER_BOUND,
     Element,
     GroupSet,
+    _search_subgroups,
     canonicalize,
     compose,
-    enumerate_subgroups,
-    full_cosets_within,
+    enumerate_subgroups,  # noqa: F401  unused here; perfbench/replay.py wraps it by name
     invert,
 )
 from .matching import Verdict
@@ -123,20 +119,21 @@ def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet
 
 
 def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND):
-    """Yield (full H-cosets inside A, B n H) for each subgroup H meeting B.
+    """Yield (full H-cosets inside A, B n H) per H = <B n H> != 1 with a full coset in A.
 
-    Subgroups in canonical order (size, then element order).  A subgroup
-    missing B is skipped: every subgroup formula scores it at most as high
-    as the trivial subgroup, which misses B because the identity is not in B.
+    The subgroup search over B within A, in canonical order (size, then
+    elements).  Every formula gets the answers of a scan over all
+    subgroups: <B n H> keeps B n H and H's full cosets, scores no lower
+    and sorts no later, and a subgroup with no full coset in A scores at
+    most what the trivial subgroup does.
     """
     group = D.A.group
-    if not group.is_finite:
-        raise UnsupportedInfiniteGroupError("subgroup formulas need a finite group")
-    for sub in enumerate_subgroups(group, order_bound):
-        inside = tuple(b for b in D.B.elements if b in sub.member_set)
-        if inside:
-            full = full_cosets_within(group, D.A.elements, sub)
-            yield GroupSet(group, full), GroupSet(group, inside)
+    masks, found = _search_subgroups(group, order_bound, D.B.elements, D.A.elements)
+    a_codes = [masks.code(a) for a in D.A.elements]
+    b_codes = [masks.code(b) for b in D.B.elements]
+    for h, full in found[1:]:  # found[0] is the trivial subgroup, full = A
+        yield (GroupSet(group, tuple(compress(D.A.elements, (full >> c & 1 for c in a_codes)))),
+               GroupSet(group, tuple(compress(D.B.elements, (h >> c & 1 for c in b_codes)))))
 
 
 def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:

@@ -11,13 +11,16 @@ from deltoids import (
     Deltoid,
     GroupSet,
     GroupSpec,
+    UnsupportedInfiniteGroupError,
     build_deltoid,
     compose,
     cosets_of,
     elements_of,
     enumerate_subgroups,
+    full_cosets_within,
     invert,
 )
+from deltoids.groups import DEFAULT_ORDER_BOUND
 
 Z3 = GroupSpec((3,))
 Z6 = GroupSpec((6,))
@@ -133,6 +136,27 @@ def reference_assign(masks, k: int) -> tuple[list[list[int]], int]:
         else:
             unplaced += 1
     return holders, unplaced
+
+
+def reference_subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND):
+    """Yield (full H-cosets inside A, B n H) for each subgroup H meeting B.
+
+    Subgroups in canonical order (size, then element order).  A subgroup
+    missing B is skipped: every subgroup formula scores it at most as high
+    as the trivial subgroup, which misses B because the identity is not in B.
+
+    The scan over the whole subgroup lattice, kept as the reference that
+    the pruned subgroup search behind transform.subgroup_terms must agree
+    with.
+    """
+    group = D.A.group
+    if not group.is_finite:
+        raise UnsupportedInfiniteGroupError("subgroup formulas need a finite group")
+    for sub in enumerate_subgroups(group, order_bound):
+        inside = tuple(b for b in D.B.elements if b in sub.member_set)
+        if inside:
+            full = full_cosets_within(group, D.A.elements, sub)
+            yield GroupSet(group, full), GroupSet(group, inside)
 
 
 def universe_for(group, span=3):

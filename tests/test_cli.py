@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: reports, certificates, exit codes, determinism."""
 
+import ast
+import importlib
 import json
 import time
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 from deltoids import InternalInconsistencyError, cli
 from deltoids.cli import main
 
-FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "z12-paper.json")
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = str(ROOT / "fixtures" / "z12-paper.json")
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +87,7 @@ def test_match_roundtrip_and_exit_codes(capsys, tmp_path):
 
     code, report, _ = run_json(capsys, "match", FIXTURE, "--defect", "2")
     assert code == 1 and report["results"]["present"] is False
+    assert report["results"]["deficiency"] == 3
 
     code, _, err = run_json(capsys, "match", FIXTURE, "--defect", "15")
     assert code == 2 and "defect" in err
@@ -270,8 +274,17 @@ def test_free_group_instance_skips_subgroup_route(capsys, tmp_path):
     code, report, _ = run_json(capsys, "deficiency", free)
     assert code == 0
     assert report["results"]["routes"]["subgroups"] is None
-    assert "subgroups" in report["results"]["skipped"]
+    assert report["results"]["skipped"]["subgroups"] == "subgroup formulas need a finite group"
     assert report["results"]["agreement"] is True
+
+
+def test_group_order_above_enumeration_bound(capsys, tmp_path):
+    big = write_instance(tmp_path, {"group": "Z10007", "A": [[0]], "B": [[1]]}, "big.json")
+    code, report, _ = run_json(capsys, "deficiency", big)
+    message = "group order 10007 exceeds enumeration bound 10000"
+    assert code == 0 and report["results"]["skipped"]["subgroups"] == message
+    code, out, err = run_cli(capsys, "witness", big, "--ell", "0")
+    assert code == 3 and out == "" and err.count("\n") == 1 and message in err
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -357,3 +370,20 @@ def test_internal_fault_exits_four(capsys, monkeypatch, fault):
     code, out, err = run_cli(capsys, "deficiency", FIXTURE)
     assert code == 4 and not out and err.count("\n") == 1
     assert err.startswith("deltoids: internal error: ")
+
+
+def test_benchmark_replay_wraps_names_the_library_has():
+    # perfbench/replay.py looks these names up in each module and wraps them;
+    # its table is read with ast so that nothing under perfbench/ is imported
+    tree = ast.parse((ROOT / "perfbench" / "replay.py").read_text(encoding="utf-8"))
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]
+    ]
+    assert wrapped
+    for module_name, names in wrapped.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

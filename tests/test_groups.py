@@ -149,10 +149,13 @@ def test_enumerate_subgroups_are_exactly_closure_fixed_points():
 
 
 def test_enumerate_subgroups_sorted_and_unique():
-    subs = enumerate_subgroups(Z2xZ4)
-    keys = [(len(h.elements), h.elements) for h in subs]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+    # in Z2^3 the order-4 subgroups with codes {0, 1, 6, 7} and {0, 2, 4, 6} sort
+    # differently by elements than by their bitmasks as integers
+    for literal in ("Z2xZ4", "Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z3xZ3"):
+        subs = enumerate_subgroups(parse_group(literal))
+        keys = [(len(h.elements), h.elements) for h in subs]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
 
 
 def test_full_cosets_within_golden():

@@ -1,14 +1,23 @@
 """Dyson e-transform, stabilization, and the subgroup route to deficiency."""
 
 import random
+import time
 
 import pytest
 
 from deltoids import (
     GroupSet,
     ResourceLimitError,
+    cosets_of,
+    elements_of,
+    enumerate_subgroups,
+    find_witness,
     full_cosets_within,
     generate_subgroup,
+    lambda_lower_bound,
+    parse_group,
+    rho_by_pairs,
+    verify_witness,
     InvalidInputError,
     InvalidWitnessError,
     UnsupportedInfiniteGroupError,
@@ -23,6 +32,9 @@ from deltoids import (
     partial_matching_with_defect,
     stabilize,
 )
+from deltoids import partition, structure, transform
+from deltoids.groups import DEFAULT_ORDER_BOUND
+import helpers
 from helpers import (
     Z2xZ,
     Z2xZ2,
@@ -33,6 +45,8 @@ from helpers import (
     golden_deltoid,
     gset,
     random_instance,
+    random_witnessed_instance,
+    reference_subgroup_terms,
     stabilizer_pairs,
     subsets_of,
     universe_for,
@@ -235,3 +249,92 @@ def test_deficiency_equals_pair_formula_exhaustive():
         )
         assert max(best, 0) == deficiency(D)
         assert deficiency_by_subgroups(D) == max(best, 0)
+
+
+def _subgroup_answers(D):
+    # the answers read from subgroup_terms, with S and R where there are any
+    delta = deficiency(D)
+    answers = [best_stabilizer_pair(D), find_witness(D, delta)]
+    if delta:
+        answers.append(find_witness(D, delta - 1))
+    if not partition._rho_is_infinite(D):
+        answers.append(rho_by_pairs(D))
+    return answers
+
+
+def _reference_terms_with_full_cosets(D, order_bound=DEFAULT_ORDER_BOUND):
+    # lambda_lower_bound skipped the terms with no full coset in A, where a
+    # B inside H would make its denominator 0
+    return ((full, inside) for full, inside in reference_subgroup_terms(D, order_bound)
+            if full.elements)
+
+
+def _search_instances():
+    yield from exhaustive_instances(Z6, sizes=(1, 2, 3))
+    yield from exhaustive_instances(Z2xZ2, sizes=(1, 2, 3))
+    rng = random.Random(7)
+    for literal, count in (
+        ("Z12", 8), ("Z2xZ4", 8), ("Z2xZ2xZ2", 8), ("Z3xZ3", 8), ("Z2xZ6", 8),
+        ("Z2xZ2xZ2xZ2", 6), ("Z2xZ2xZ2xZ2xZ2xZ2", 1),
+    ):
+        group = parse_group(literal)
+        for _ in range(count):
+            yield random_instance(rng, group, max_size=10)
+            yield random_witnessed_instance(rng, group)
+
+
+def test_subgroup_search_agrees_with_the_lattice_scan(monkeypatch):
+    # the search yields exactly the reference terms of the H = <B n H> with
+    # a full coset in A, in order, and every formula answers as from the scan
+    lattices = {}
+
+    def lattice(group, order_bound=DEFAULT_ORDER_BOUND):
+        # each lattice once: the reference scans it up to six times per instance
+        if group not in lattices:
+            lattices[group] = enumerate_subgroups(group, order_bound)
+        return lattices[group]
+
+    monkeypatch.setattr(helpers, "enumerate_subgroups", lattice)
+    for D in _search_instances():
+        group = D.A.group
+        meets_b = [h for h in lattice(group) if any(b in h for b in D.B.elements)]
+        expected = [
+            (full, inside)
+            for h, (full, inside) in zip(meets_b, reference_subgroup_terms(D), strict=True)
+            if full.elements and generate_subgroup(group, inside.elements) == h
+        ]
+        assert list(transform.subgroup_terms(D)) == expected
+        answers = _subgroup_answers(D)
+        bound = lambda_lower_bound(D)
+        with monkeypatch.context() as patched:
+            for module in (transform, structure, partition):
+                patched.setattr(module, "subgroup_terms", reference_subgroup_terms)
+            assert _subgroup_answers(D) == answers
+            patched.setattr(partition, "subgroup_terms", _reference_terms_with_full_cosets)
+            assert lambda_lower_bound(D) == bound
+
+
+def test_subgroup_route_in_z2_to_the_8():
+    # Z2^8 has 417,199 subgroups; the search over B visits only those with a
+    # full coset in A.  A holds two cosets of a subgroup of order 16 whose
+    # nonidentity elements are in B, so the deficiency is well above 0.
+    group = parse_group("x".join(["Z2"] * 8))
+    rng = random.Random(8)
+    everything = elements_of(group)
+    H = generate_subgroup(group, rng.sample(everything, 4))
+    s_elems = [x for coset in rng.sample(cosets_of(group, H), 2) for x in coset]
+    rest = [x for x in everything if x not in set(s_elems)]
+    r_elems = [x for x in H.elements if x != group.identity]
+    pool = [x for x in everything if x != group.identity and x not in set(r_elems)]
+    D = build_deltoid(
+        GroupSet.of(group, s_elems + rng.sample(rest, 40 - len(s_elems))),
+        GroupSet.of(group, r_elems + rng.sample(pool, 40 - len(r_elems))),
+    )
+    delta = deficiency(D)
+    assert delta >= 1
+    start = time.perf_counter()
+    assert deficiency_by_subgroups(D) == delta
+    assert verify_witness(D, find_witness(D, delta - 1))
+    assert find_witness(D, delta) is None
+    # about 0.1 s; scanning every subgroup takes minutes
+    assert time.perf_counter() - start < 5.0
