@@ -56,10 +56,12 @@ def assign(masks, k: int, lookahead: bool = False) -> tuple[list[list[int]], int
     fixed input: sources are placed in index order, targets scanned low bit
     first, and a full target's holders tried in list order.  On success each
     source on the path moves to the end of the holder list of the target its
-    child left.
+    child left.  Path frames are (source, holder list of the full target it
+    tried); the source being scanned is a holder in the top frame's list.
 
-    The visited set is reset per source to the dead set.  A source that
-    fails leaves every target it visited full, with every holder of those
+    Each source's search starts from the targets outside the dead set, kept
+    as an unvisited mask that loses one bit per step.  A source that fails
+    leaves every target it visited full, with every holder of those
     targets having all its candidates among them; no later augmenting path
     can pass through them, so they stay dead for later sources.  Skipping
     them changes neither the live targets visited nor their order.
@@ -70,47 +72,41 @@ def assign(masks, k: int, lookahead: bool = False) -> tuple[list[list[int]], int
     differ, so only callers that read the count alone pass it.
     """
     holders: list[list[int]] = [[] for _ in masks]
-    unplaced = 0
-    dead = 0
     free = (1 << len(masks)) - 1  # targets holding fewer than k sources
+    live = free  # targets outside the dead set
     for root in range(len(masks)):
-        visited = dead
-        # frames are [source, holder list of the target it tries, next index]
-        path = [[root, None, 0]]
-        while path:
-            frame = path[-1]
-            cand = masks[frame[0]] & ~visited
+        unvisited = live
+        src = root
+        path = []
+        while True:
+            cand = masks[src] & unvisited
             if cand:
                 if lookahead and cand & free:
                     cand &= free
                 low = cand & -cand
-                visited |= low
+                unvisited ^= low
                 bucket = holders[low.bit_length() - 1]
                 if len(bucket) < k:
-                    bucket.append(frame[0])
+                    bucket.append(src)
                     if len(bucket) == k:
                         free ^= low
-                    for src, parent_bucket, nxt in path[:-1]:
-                        del parent_bucket[nxt - 1]
-                        parent_bucket.append(src)
+                    for parent, bucket in reversed(path):
+                        bucket.remove(src)
+                        bucket.append(parent)
+                        src = parent
                     break
-                frame[1] = bucket
-                frame[2] = 1
-                path.append([bucket[0], None, 0])
-                continue
-            # no target left: the parent tries its next holder, or else
-            # goes back to scanning its own targets
-            path.pop()
-            if path:
-                frame = path[-1]
-                bucket = frame[1]
-                if frame[2] < len(bucket):
-                    path.append([bucket[frame[2]], None, 0])
-                    frame[2] += 1
-        else:
-            unplaced += 1
-            dead = visited
-    return holders, unplaced
+                path.append((src, bucket))
+                src = bucket[0]
+            elif path:
+                # src has no target left: the parent tries its next holder,
+                # or else goes back to scanning its own targets
+                parent, bucket = path[-1]
+                nxt = bucket.index(src) + 1
+                src = bucket[nxt] if nxt < len(bucket) else path.pop()[0]
+            else:
+                live = unvisited
+                break
+    return holders, len(masks) - sum(map(len, holders))
 
 
 def max_matching(D: Deltoid) -> PartialMatching:

@@ -56,15 +56,19 @@ class Deltoid:
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """The adjacency by columns: bit i of columns[j] iff bit j of rows[i]."""
-        # zip regroups the bit matrix in C; a Python loop over the set bits
-        # is about ten times slower at n = 1100.  Each column becomes an int
-        # as zip yields it, so only one column of strings is alive at a time
-        # (listing them all costs 9 MB at n = 1100).  Rows go in reversed so
-        # row i lands on bit i; the strings list column n - 1 first.
+        # Each block of 256 rows is written as digits, last row first, into
+        # a 256 * n byte buffer (one n * n buffer raises peak memory); column
+        # j of a block is the strided slice from n - 1 - j, parsed in C.
         n = self.size
-        bits = [format(row, f"0{n}b") for row in reversed(self.rows)]
-        cols = [int("".join(col), 2) for col in zip(*bits)]
-        return tuple(reversed(cols))
+        cols = [0] * n
+        for base in range(0, n, 256):
+            block = self.rows[base:base + 256]
+            bits = bytearray(len(block) * n)
+            for i, row in enumerate(reversed(block)):
+                bits[i * n:i * n + n] = format(row, f"0{n}b").encode()
+            for j in range(n):
+                cols[j] |= int(bits[n - 1 - j::n], 2) << base
+        return tuple(cols)
 
     @cached_property
     def row_assignment(self) -> tuple[tuple[tuple[int, ...], ...], int]:

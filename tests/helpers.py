@@ -190,6 +190,33 @@ def random_instance(rng, group, max_size=8, span=3, identity_in_a=True):
     return build_deltoid(GroupSet.of(group, A), GroupSet.of(group, B))
 
 
+def cyclic_instance(rng, p, n, shape):
+    """A seeded Z_p instance of size n in the shape "uniform" or "progression".
+
+    uniform draws A from Z_p and B from its nonzero elements.  progression
+    takes A and B as intervals of length n, B inside 1..p-1 without
+    wrapping, with five members of each swapped for nonzero elements outside
+    it.
+    """
+    group = GroupSpec((p,))
+    if shape == "uniform":
+        a = rng.sample(range(p), n)
+        b = rng.sample(range(1, p), n)
+    else:
+        a = _swapped_interval(rng, p, n, rng.randrange(p))
+        b = _swapped_interval(rng, p, n, rng.randrange(1, p - n))
+    return build_deltoid(GroupSet.of(group, cyc(*a)), GroupSet.of(group, cyc(*b)))
+
+
+def _swapped_interval(rng, p, n, start):
+    chosen = [(start + i) % p for i in range(n)]
+    inside = set(chosen)
+    outside = [x for x in range(1, p) if x not in inside]
+    for slot, new in zip(rng.sample(range(n), 5), rng.sample(outside, 5)):
+        chosen[slot] = new
+    return chosen
+
+
 def random_witnessed_instance(rng, group=Z12):
     """A seeded instance shaped like an obstruction: coset-heavy A, subgroup-heavy B.
 

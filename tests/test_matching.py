@@ -31,6 +31,7 @@ from helpers import (
     chain_deltoid,
     chain_rows,
     cyc,
+    cyclic_instance,
     exhaustive_instances,
     golden_deltoid,
     gset,
@@ -79,6 +80,21 @@ def test_assign_matches_reference_and_lookahead_keeps_the_count():
         expected = reference_assign(masks, k)
         assert assign(masks, k) == expected, (masks, k)
         assert assign(masks, k, lookahead=True)[1] == expected[1], (masks, k)
+
+
+def test_assign_matches_reference_at_ladder_size():
+    # Z997 n = 300 masks span several machine words, and the Kuhn search
+    # runs augmenting paths of 150 to 300 sources on both sides of the
+    # adjacency; at k = 2 the order of each holder list decides which
+    # holder a path descends into
+    rng = random.Random(997)
+    for shape in ("uniform", "progression"):
+        D = cyclic_instance(rng, 997, 300, shape)
+        for side, masks in (("rows", D.rows), ("columns", D.columns)):
+            for k in (1, 2):
+                expected = reference_assign(masks, k)
+                assert assign(masks, k) == expected, (shape, side, k)
+                assert assign(masks, k, lookahead=True)[1] == expected[1], (shape, side, k)
 
 
 def test_assign_strongly_deficient_keeps_reference_order():

@@ -33,6 +33,7 @@ from helpers import (
     brute_delta_elems,
     brute_rows,
     cyc,
+    cyclic_instance,
     exhaustive_instances,
     golden_deltoid,
     gset,
@@ -111,6 +112,8 @@ def test_columns_transpose_rows():
     rng = random.Random(57)
     instances = [golden_deltoid()]
     instances += [random_instance(rng, Z12, max_size=11) for _ in range(100)]
+    # widths around one machine word, and one past a 256-row block
+    instances += [cyclic_instance(rng, 997, n, "uniform") for n in (63, 64, 65, 300)]
     for D in instances:
         n = D.size
         assert len(D.columns) == n
