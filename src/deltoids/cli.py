@@ -136,7 +136,11 @@ def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
     (currently only element deduplication notices).
     """
     data = _read_object(path)
-    group = parse_group(str(_require(data, "group", path)))
+    if unknown := sorted(set(data) - {"group", "A", "B"}):
+        raise InstanceFileError(f"{path}: unknown field {unknown[0]!r}")
+    if not isinstance(literal := _require(data, "group", path), str):
+        raise InstanceFileError(f"{path}: field 'group' must be a string")
+    group = parse_group(literal)
     warnings = []
     sets = {}
     for name in ("A", "B"):

@@ -10,22 +10,27 @@ pairs of prescribed size whose deficiency exceeds a prescribed level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 
 from .errors import (
     InfiniteSubgroupError,
     InternalConstructorError,
     InvalidParametersError,
     NoConstructionError,
+    ResourceLimitError,
 )
 from .groups import (
     DEFAULT_ORDER_BOUND,
     GroupSet,
     GroupSpec,
+    _Masks,
+    _saturate,
     cosets_of,
     elements_of,
-    enumerate_subgroups,
+    enumerate_subgroups,  # noqa: F401  unused here; perfbench/replay.py wraps it by name
     full_cosets_within,
     generate_subgroup,
+    order,
 )
 from .matching import Verdict
 from .sets import Deltoid
@@ -111,28 +116,34 @@ def existence_predicate(
     """A subgroup H with |H| <= n and |H| dividing none of n+1 .. n+level+1.
 
     Such a subgroup exists iff some pair (A, B) with |A| = |B| = n and the
-    identity outside B has deficiency above the level.  Returns the
-    smallest qualifying subgroup (canonical tie-break) or None.
+    identity outside B has deficiency above the level.  The subgroup orders
+    of a finite abelian group are the divisors of |G|, so only the smallest
+    qualifying subgroup (canonical tie-break) is built; None if there is none.
     """
     if not group.is_finite:
         raise InvalidParametersError("existence search needs a finite group")
     if level < 0:
         raise InvalidParametersError("level must be nonnegative")
-    proper = [h for h in enumerate_subgroups(group, order_bound) if 1 < len(h) < group.order]
-    if not proper:
+    size = group.order
+    if size > order_bound:
+        raise ResourceLimitError(f"group order {size} exceeds enumeration bound {order_bound}")
+    orders = [m for m in range(2, size) if size % m == 0]
+    if not orders:
         raise InvalidParametersError("group has no nontrivial proper subgroup")
-    n0 = len(proper[0].elements)
-    if not n0 <= n < group.order:
-        raise InvalidParametersError(
-            f"n must satisfy {n0} <= n < {group.order}, got {n}"
-        )
-    for sub in proper:
-        m = len(sub.elements)
-        if m > n:
-            continue
-        if all((n + j) % m for j in range(1, level + 2)):
-            return sub
-    return None
+    if not orders[0] <= n < size:
+        raise InvalidParametersError(f"n must satisfy {orders[0]} <= n < {size}, got {n}")
+    m = next((m for m in orders if m <= n and all((n + j) % m for j in range(1, level + 2))), 0)
+    if not m:
+        return None
+    # Greedy in code order: a join whose order divides m lies in an order-m subgroup (G/H has
+    # subgroups of all orders dividing its own), and those holding x sort first, since they
+    # all agree with H below x.  A rejected x stays rejected as H grows; none joins at |H| = m.
+    masks, everything, h = _Masks(group), elements_of(group), 1
+    for code, x in enumerate(everything):
+        if h.bit_count() < m and not (h >> code & 1 or m % order(group, x)):
+            joined = _saturate(masks, h, x, or_)
+            h = joined if m % joined.bit_count() == 0 else h
+    return GroupSet(group, masks.members(h, everything))
 
 
 def construct_deficient_pair(
@@ -160,15 +171,12 @@ def construct_deficient_pair(
     y_elems = [x for x in everything if x not in s_set][:r]
     if len(y_elems) < r:
         raise InternalConstructorError("ran out of elements for Y")
-    identity = group.identity
-    r_elems = [x for x in sub.elements if x != identity]
-    excluded = set(r_elems) | {identity}
     z_count = n - m + 1
-    z_elems = [x for x in everything if x not in excluded][:z_count]
+    z_elems = [x for x in everything if x not in sub.member_set][:z_count]
     if len(z_elems) < z_count:
         raise InternalConstructorError("ran out of elements for Z")
     A = GroupSet.of(group, s_elems + y_elems)
-    B = GroupSet.of(group, r_elems + z_elems)
+    B = GroupSet.of(group, [*sub.elements[1:], *z_elems])  # the identity sorts first in H
     if len(A.elements) != n or len(B.elements) != n:
         raise InternalConstructorError("constructed sets have the wrong size")
     return A, B

@@ -11,6 +11,7 @@ from deltoids import (
     Deltoid,
     GroupSet,
     GroupSpec,
+    InvalidParametersError,
     UnsupportedInfiniteGroupError,
     build_deltoid,
     compose,
@@ -157,6 +158,34 @@ def reference_subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND)
         if inside:
             full = full_cosets_within(group, D.A.elements, sub)
             yield GroupSet(group, full), GroupSet(group, inside)
+
+
+def reference_existence_predicate(group, n, level, lattice):
+    """The smallest qualifying subgroup, read off the whole subgroup lattice.
+
+    The lattice scan that structure.existence_predicate replaced, kept as
+    its reference; `lattice` is enumerate_subgroups(group), passed in so
+    that a test enumerates each group once.
+    """
+    if not group.is_finite:
+        raise InvalidParametersError("existence search needs a finite group")
+    if level < 0:
+        raise InvalidParametersError("level must be nonnegative")
+    proper = [h for h in lattice if 1 < len(h) < group.order]
+    if not proper:
+        raise InvalidParametersError("group has no nontrivial proper subgroup")
+    n0 = len(proper[0].elements)
+    if not n0 <= n < group.order:
+        raise InvalidParametersError(
+            f"n must satisfy {n0} <= n < {group.order}, got {n}"
+        )
+    for sub in proper:
+        m = len(sub.elements)
+        if m > n:
+            continue
+        if all((n + j) % m for j in range(1, level + 2)):
+            return sub
+    return None
 
 
 def universe_for(group, span=3):

@@ -285,6 +285,37 @@ def test_group_order_above_enumeration_bound(capsys, tmp_path):
     assert code == 0 and report["results"]["skipped"]["subgroups"] == message
     code, out, err = run_cli(capsys, "witness", big, "--ell", "0")
     assert code == 3 and out == "" and err.count("\n") == 1 and message in err
+    code, out, err = run_cli(capsys, "construct", "--group", "Z10007", "--n", "8", "--ell", "0")
+    assert code == 3 and out == "" and err.count("\n") == 1 and message in err
+    # the bound is checked before anything of size |G| is built
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "construct", "--group", "Z1000000000000", "--n", "8", "--ell", "0"
+    )
+    assert code == 3 and out == "" and "exceeds enumeration bound 10000" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_construct_in_z2_to_the_8_verifies(capsys, tmp_path):
+    # Z2^8 has 417,199 subgroups; construct builds only the one it uses
+    group = "x".join(["Z2"] * 8)
+    code, report, _ = run_json(capsys, "construct", "--group", group, "--n", "40", "--ell", "1")
+    assert code == 0 and report["results"]["deficiency"] > 1
+    instance = write_instance(tmp_path, report["results"]["instance"])
+    cert = tmp_path / "report.json"
+    cert.write_text(json.dumps(report), encoding="utf-8")
+    code, verify_report, _ = run_json(capsys, "verify", instance, "--certificate", str(cert))
+    assert code == 0 and verify_report["results"]["checks"][0]["kind"] == "witness"
+
+
+def test_instance_fields_follow_the_schema(capsys, tmp_path):
+    # docs/instance.schema.json: no other fields, and the group is a string
+    extra = write_instance(tmp_path, {"group": "Z12", "A": [[0]], "B": [[1]], "extra": 1})
+    code, out, err = run_cli(capsys, "deficiency", extra)
+    assert _one_line_error(code, out, err) and "'extra'" in err
+    number = write_instance(tmp_path, {"group": 12, "A": [[0]], "B": [[1]]}, "number.json")
+    code, out, err = run_cli(capsys, "deficiency", number)
+    assert _one_line_error(code, out, err) and "'group'" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -1,6 +1,7 @@
 """Obstruction witnesses, the existence search, and the pair constructor."""
 
 import random
+import time
 
 import pytest
 
@@ -14,8 +15,10 @@ from deltoids import (
     construct_deficient_pair,
     cosets_of,
     deficiency,
+    enumerate_subgroups,
     existence_predicate,
     find_witness,
+    parse_group,
     partial_matching_with_defect,
     verify_witness,
 )
@@ -29,7 +32,9 @@ from helpers import (
     exhaustive_instances,
     golden_deltoid,
     gset,
+    is_subgroup,
     random_instance,
+    reference_existence_predicate,
 )
 
 
@@ -147,6 +152,53 @@ def test_existence_predicate_parameter_errors():
         existence_predicate(Z12, 12, 0)  # must stay below |G|
     with pytest.raises(InvalidParametersError):
         existence_predicate(Z12, 8, -1)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except InvalidParametersError as err:
+        return type(err), str(err)
+
+
+def test_existence_predicate_agrees_with_the_lattice_scan():
+    # the divisor arithmetic and the greedy join give the subgroup the scan
+    # over every subgroup picks, or the same error; n = 0 and n = |G| are
+    # outside the range, level -1 is invalid
+    literals = [
+        "Z12", "Z2xZ2", "Z8", "Z2xZ4", "Z3xZ3", "Z2xZ6", "Z2xZ2xZ2", "Z4xZ4",
+        "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2xZ2", "Z4xZ4xZ4", "Z2xZ4xZ8", "Z360", "Z6xZ6",
+        "Z3xZ3xZ3", "Z2xZ3xZ4", "Z30", "Z9xZ3", "Z5xZ5", "Z2xZ2xZ3xZ3", "Z1", "Z7",
+    ]
+    for literal in literals:
+        group = parse_group(literal)
+        lattice = enumerate_subgroups(group)
+        for n in [0, *range(1, min(group.order - 1, 60) + 1), group.order]:
+            for level in range(-1, 5):
+                got = _outcome(lambda: existence_predicate(group, n, level))
+                want = _outcome(lambda: reference_existence_predicate(group, n, level, lattice))
+                assert got == want, (literal, n, level)
+
+
+def test_existence_predicate_on_big_lattices():
+    # Z2^8 has 417,199 subgroups and Z2^13 far more; Z2xZ4999 has 4,998
+    # elements of order 4999 that the order test skips without a join
+    cases = [
+        ("x".join(["Z2"] * 8), 40, 1, 4),
+        ("x".join(["Z2"] * 13), 8, 0, 2),
+        ("Z2xZ4999", 40, 0, 2),
+        ("Z10000", 5000, 1000, 1250),
+    ]
+    start = time.perf_counter()
+    subs = [existence_predicate(parse_group(literal), n, level) for literal, n, level, _ in cases]
+    # about 0.04 s; joining every element of order 4999 takes over a second
+    assert time.perf_counter() - start < 1.0
+    assert subs[0].elements == ((0,) * 8, (0,) * 7 + (1,), (0,) * 6 + (1, 0), (0,) * 6 + (1, 1))
+    for sub, (_, _, _, m) in zip(subs[1:3], cases[1:3]):
+        assert len(sub.elements) == m and is_subgroup(sub)
+    # a cyclic group has one subgroup per order; the closure oracle is
+    # quadratic, too slow for 1,250 elements
+    assert subs[3].elements == tuple(cyc(*range(0, 10000, 8)))
 
 
 def test_construct_deficient_pair_golden():
