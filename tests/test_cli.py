@@ -54,6 +54,39 @@ def test_reports_are_byte_identical(capsys):
     assert first == second
 
 
+GOLDEN = ROOT / "tests" / "golden"
+
+# (expected stdout file, exit code, argv); the files are the exact reports
+# on the fixture, so any change to a report's bytes fails here.  The verify
+# cases read whole reports from this table as their certificates.
+GOLDEN_CASES = [
+    ("deficiency", 0, ["deficiency", FIXTURE]),
+    ("match-defect3", 0, ["match", FIXTURE, "--defect", "3"]),
+    ("match-defect2", 1, ["match", FIXTURE, "--defect", "2"]),
+    ("witness-ell2", 0, ["witness", FIXTURE, "--ell", "2"]),
+    ("witness-ell3", 1, ["witness", FIXTURE, "--ell", "3"]),
+    ("rho", 0, ["rho", FIXTURE]),
+    ("lambda", 0, ["lambda", FIXTURE]),
+    ("partition-left", 0, ["partition", FIXTURE, "--side", "left"]),
+    ("partition-right", 0, ["partition", FIXTURE, "--side", "right"]),
+    ("construct-z12", 0, ["construct", "--group", "Z12", "--n", "8", "--ell", "2"]),
+    ("chowla", 0, ["chowla", FIXTURE]),
+    ("verify-witness", 0,
+     ["verify", FIXTURE, "--certificate", str(GOLDEN / "witness-ell2.json")]),
+    ("verify-partition-right", 0,
+     ["verify", FIXTURE, "--certificate", str(GOLDEN / "partition-right.json")]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, expected_code, argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES]
+)
+def test_report_bytes_match_golden(capsys, name, expected_code, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (expected_code, "")
+    assert out == (GOLDEN / f"{name}.json").read_bytes().decode("utf-8")
+
+
 def test_witness_present_and_absent(capsys, tmp_path):
     code, report, _ = run_json(capsys, "witness", FIXTURE, "--ell", "2")
     assert code == 0
