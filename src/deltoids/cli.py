@@ -23,7 +23,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedInfiniteGroupError,
 )
-from .groups import GroupSet, canonicalize, format_group, parse_group
+from .groups import GroupSet, GroupSpec, canonicalize, format_group, parse_group
 from .matching import (
     PartialMatching,
     deficiency,
@@ -51,28 +51,24 @@ class InstanceFileError(DeltoidError):
     """Instance or certificate JSON is malformed; message names the field."""
 
 
-# --- JSON encoding helpers -------------------------------------------------
+# --- JSON encoding: the library's tuples render as JSON arrays -------------
 
 
-def _enc_set(s: GroupSet) -> list:
-    return [list(e) for e in s.elements]
-
-
-def _enc_pairs(m: PartialMatching) -> list:
-    return [[list(a), list(b)] for a, b in m.pairs]
+def _enc_instance(A: GroupSet, B: GroupSet) -> dict:
+    return {"group": format_group(A.group), "A": A.elements, "B": B.elements}
 
 
 def _matching_cert(m: PartialMatching) -> dict:
-    return {"kind": "matching", "pairs": _enc_pairs(m), "defect": m.defect}
+    return {"kind": "matching", "pairs": m.pairs, "defect": m.defect}
 
 
 def _witness_cert(w: ObstructionWitness) -> dict:
     return {
         "kind": "witness",
-        "S": _enc_set(w.S),
-        "R": _enc_set(w.R),
-        "Y": _enc_set(w.Y),
-        "Z": _enc_set(w.Z),
+        "S": w.S.elements,
+        "R": w.R.elements,
+        "Y": w.Y.elements,
+        "Z": w.Z.elements,
         "level": w.level,
     }
 
@@ -81,8 +77,8 @@ def _partition_cert(p: AdmissiblePartition) -> dict:
     return {
         "kind": "partition",
         "side": p.side,
-        "classes": [_enc_set(c) for c in p.classes],
-        "matchings": [_enc_pairs(m) for m in p.matchings],
+        "classes": [c.elements for c in p.classes],
+        "matchings": [m.pairs for m in p.matchings],
     }
 
 
@@ -150,12 +146,7 @@ def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
             warnings.append(f"duplicate elements removed from {name}")
         sets[name] = canon
     deltoid = build_deltoid(sets["A"], sets["B"])
-    echo = {
-        "group": format_group(group),
-        "A": _enc_set(deltoid.A),
-        "B": _enc_set(deltoid.B),
-    }
-    return deltoid, echo, warnings
+    return deltoid, _enc_instance(deltoid.A, deltoid.B), warnings
 
 
 def _parse_matching(group, obj: dict) -> PartialMatching:
@@ -183,7 +174,9 @@ def _parse_witness(group, obj: dict) -> ObstructionWitness:
 
 
 def _parse_partition(group, size: int, obj: dict) -> AdmissiblePartition:
-    side = str(_require(obj, "side", "certificate"))
+    side = _require(obj, "side", "certificate")
+    if side not in ("left", "right"):
+        raise InstanceFileError('certificate: side must be "left" or "right"')
     classes = tuple(
         GroupSet.of(group, _elements(c, "certificate: class"))
         for c in _require(obj, "classes", "certificate")
@@ -197,10 +190,13 @@ def _parse_partition(group, size: int, obj: dict) -> AdmissiblePartition:
 
 
 # --- subcommand handlers ----------------------------------------------------
+#
+# Each takes the loaded instance (for construct, the parsed group) and the
+# parsed arguments, and returns (exit code, results, certificates or None);
+# main wraps them into the report.
 
 
-def _cmd_deficiency(args) -> tuple[int, dict]:
-    deltoid, echo, warnings = load_instance(args.instance)
+def _cmd_deficiency(deltoid: Deltoid, args) -> tuple:
     delta = deficiency(deltoid)
     routes: dict = {"matching": delta, "subsets": None, "subgroups": None}
     skipped = {}
@@ -219,11 +215,10 @@ def _cmd_deficiency(args) -> tuple[int, dict]:
         "agreement": len(set(computed)) == 1,
         "skipped": skipped,
     }
-    return 0, _report("deficiency", echo, results, warnings=warnings)
+    return 0, results, None
 
 
-def _cmd_match(args) -> tuple[int, dict]:
-    deltoid, echo, warnings = load_instance(args.instance)
+def _cmd_match(deltoid: Deltoid, args) -> tuple:
     matching = partial_matching_with_defect(deltoid, args.defect)
     if matching is None:
         results = {
@@ -232,14 +227,12 @@ def _cmd_match(args) -> tuple[int, dict]:
             "deficiency": max_matching(deltoid).defect,
             "reason": "no matching with requested defect: deficiency exceeds it",
         }
-        return 1, _report("match", echo, results, warnings=warnings)
+        return 1, results, None
     results = {"present": True, "defect": args.defect, "pairs": len(matching.pairs)}
-    certs = {"matching": _matching_cert(matching)}
-    return 0, _report("match", echo, results, certificates=certs, warnings=warnings)
+    return 0, results, {"matching": _matching_cert(matching)}
 
 
-def _cmd_witness(args) -> tuple[int, dict]:
-    deltoid, echo, warnings = load_instance(args.instance)
+def _cmd_witness(deltoid: Deltoid, args) -> tuple:
     if args.ell < 0:
         raise InstanceFileError("--ell must be nonnegative")
     witness = find_witness(deltoid, args.ell)
@@ -249,7 +242,7 @@ def _cmd_witness(args) -> tuple[int, dict]:
             "ell": args.ell,
             "reason": "no witness: deficiency not greater than ell",
         }
-        return 1, _report("witness", echo, results, warnings=warnings)
+        return 1, results, None
     results = {
         "present": True,
         "ell": args.ell,
@@ -260,24 +253,19 @@ def _cmd_witness(args) -> tuple[int, dict]:
             "Z": len(witness.Z.elements),
         },
     }
-    certs = {"witness": _witness_cert(witness)}
-    return 0, _report("witness", echo, results, certificates=certs, warnings=warnings)
+    return 0, results, {"witness": _witness_cert(witness)}
 
 
-def _cmd_rho(args) -> tuple[int, dict]:
-    deltoid, echo, warnings = load_instance(args.instance)
+def _cmd_rho(deltoid: Deltoid, args) -> tuple:
     value = rho(deltoid)
-    encoded = "infinite" if value is math.inf else value
-    return 0, _report("rho", echo, {"rho": encoded}, warnings=warnings)
+    return 0, {"rho": "infinite" if value is math.inf else value}, None
 
 
-def _cmd_lambda(args) -> tuple[int, dict]:
-    deltoid, echo, warnings = load_instance(args.instance)
-    return 0, _report("lambda", echo, {"lambda": lambda_(deltoid)}, warnings=warnings)
+def _cmd_lambda(deltoid: Deltoid, args) -> tuple:
+    return 0, {"lambda": lambda_(deltoid)}, None
 
 
-def _cmd_partition(args) -> tuple[int, dict]:
-    deltoid, echo, warnings = load_instance(args.instance)
+def _cmd_partition(deltoid: Deltoid, args) -> tuple:
     side = args.side
     k = args.k
     if k is not None and k > deltoid.size:
@@ -298,7 +286,7 @@ def _cmd_partition(args) -> tuple[int, dict]:
                     "side": side,
                     "reason": "no finite partition: an element of B stabilizes A",
                 }
-                return 1, _report("partition", echo, results, warnings=warnings)
+                return 1, results, None
     build = partition_left if side == "left" else partition_right
     part = build(deltoid, k)
     if part is None:
@@ -308,38 +296,32 @@ def _cmd_partition(args) -> tuple[int, dict]:
             "k": k,
             "reason": "no partition into k admissible classes",
         }
-        return 1, _report("partition", echo, results, warnings=warnings)
+        return 1, results, None
     results = {
         "feasible": True,
         "side": side,
         "k": k,
         "class_sizes": [len(c.elements) for c in part.classes],
     }
-    certs = {"partition": _partition_cert(part)}
-    return 0, _report("partition", echo, results, certificates=certs, warnings=warnings)
+    return 0, results, {"partition": _partition_cert(part)}
 
 
-def _cmd_construct(args) -> tuple[int, dict]:
-    group = parse_group(args.group)
-    echo = {"group": format_group(group), "n": args.n, "ell": args.ell}
+def _cmd_construct(group: GroupSpec, args) -> tuple:
     try:
         A, B = construct_deficient_pair(group, args.n, args.ell)
     except NoConstructionError as err:
-        results = {"present": False, "reason": str(err)}
-        return 1, _report("construct", echo, results)
+        return 1, {"present": False, "reason": str(err)}, None
     deltoid = build_deltoid(A, B)
     results = {
         "present": True,
-        "instance": {"group": format_group(group), "A": _enc_set(A), "B": _enc_set(B)},
+        "instance": _enc_instance(A, B),
         "deficiency": deficiency(deltoid),
     }
     witness = find_witness(deltoid, args.ell)
-    certs = {"witness": _witness_cert(witness)} if witness else None
-    return 0, _report("construct", echo, results, certificates=certs)
+    return 0, results, {"witness": _witness_cert(witness)} if witness else None
 
 
-def _cmd_chowla(args) -> tuple[int, dict]:
-    deltoid, echo, warnings = load_instance(args.instance)
+def _cmd_chowla(deltoid: Deltoid, args) -> tuple:
     bound = chowla_defect(deltoid.B)
     delta = deficiency(deltoid)
     results = {
@@ -348,7 +330,7 @@ def _cmd_chowla(args) -> tuple[int, dict]:
         "deficiency": delta,
         "bound_holds": delta <= bound,
     }
-    return 0, _report("chowla", echo, results, warnings=warnings)
+    return 0, results, None
 
 
 def _verify_one(deltoid: Deltoid, obj: dict) -> tuple[str, bool, str]:
@@ -365,8 +347,7 @@ def _verify_one(deltoid: Deltoid, obj: dict) -> tuple[str, bool, str]:
     return kind, bool(verdict), verdict.reason
 
 
-def _cmd_verify(args) -> tuple[int, dict]:
-    deltoid, echo, warnings = load_instance(args.instance)
+def _cmd_verify(deltoid: Deltoid, args) -> tuple:
     data = _read_object(args.certificate)
     if "certificates" in data:
         named = data["certificates"]
@@ -386,25 +367,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
             raise InstanceFileError(f"certificate {name!r}: malformed ({err})") from None
         checks.append({"name": name, "kind": kind, "valid": ok, "reason": reason})
     all_ok = all(c["valid"] for c in checks)
-    results = {"valid": all_ok, "checks": checks}
-    return (0 if all_ok else 1), _report("verify", echo, results, warnings=warnings)
+    return (0 if all_ok else 1), {"valid": all_ok, "checks": checks}, None
 
 
-# --- report assembly and rendering -----------------------------------------
-
-
-def _report(command, inputs, results, certificates=None, warnings=None) -> dict:
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "version": __version__,
-    }
-    if certificates:
-        report["certificates"] = certificates
-    if warnings:
-        report["warnings"] = warnings
-    return report
+# --- report rendering and the entry point ----------------------------------
 
 
 def render_json(value, indent: int = 0) -> str:
@@ -418,7 +384,7 @@ def render_json(value, indent: int = 0) -> str:
             for key in sorted(value)
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         flat = json.dumps(value, sort_keys=True, separators=(", ", ": "))
         if len(flat) <= 72:
             return flat
@@ -435,44 +401,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, instance=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
+        if instance:
+            p.add_argument("instance")
         return p
 
-    p = add("deficiency", _cmd_deficiency, "deficiency by all available routes")
-    p.add_argument("instance")
+    add("deficiency", _cmd_deficiency, "deficiency by all available routes")
     p = add("match", _cmd_match, "a partial matching with the requested defect")
-    p.add_argument("instance")
     p.add_argument("--defect", type=int, required=True)
     p = add("witness", _cmd_witness, "an obstruction witness for the requested level")
-    p.add_argument("instance")
     p.add_argument("--ell", type=int, required=True)
-    p = add("rho", _cmd_rho, "right partition number")
-    p.add_argument("instance")
-    p = add("lambda", _cmd_lambda, "left partition number")
-    p.add_argument("instance")
+    add("rho", _cmd_rho, "right partition number")
+    add("lambda", _cmd_lambda, "left partition number")
     p = add("partition", _cmd_partition, "partition into admissible classes")
-    p.add_argument("instance")
     p.add_argument("--side", choices=("left", "right"), required=True)
     p.add_argument("--k", type=int, default=None)
-    p = add("construct", _cmd_construct, "build a pair with deficiency above ell")
+    p = add("construct", _cmd_construct, "build a pair with deficiency above ell",
+            instance=False)
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p = add("chowla", _cmd_chowla, "Chowla defect of B and the deficiency bound")
-    p.add_argument("instance")
+    add("chowla", _cmd_chowla, "Chowla defect of B and the deficiency bound")
     p = add("verify", _cmd_verify, "re-verify a certificate against an instance")
-    p.add_argument("instance")
     p.add_argument("--certificate", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only code that builds and prints a report."""
+    args = _build_parser().parse_args(argv)
     try:
-        code, report = args.handler(args)
+        if "instance" in args:
+            subject, inputs, warnings = load_instance(args.instance)
+        else:
+            subject, warnings = parse_group(args.group), []
+            inputs = {"group": format_group(subject), "n": args.n, "ell": args.ell}
+        code, results, certificates = args.handler(subject, args)
     except ResourceLimitError as err:
         message, code = f"resource limit: {err}", 3
     except (InternalInconsistencyError, InternalConstructorError) as err:
@@ -482,6 +448,16 @@ def main(argv=None) -> int:
     except Exception as err:  # any other exception is a bug, not bad input
         message, code = f"internal error: {type(err).__name__}: {err}", 4
     else:
+        report = {
+            "command": args.subcommand,
+            "inputs": inputs,
+            "results": results,
+            "version": __version__,
+        }
+        if certificates:
+            report["certificates"] = certificates
+        if warnings:
+            report["warnings"] = warnings
         print(render_json(report))
         return code
     print(f"deltoids: {message}", file=sys.stderr)

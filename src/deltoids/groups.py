@@ -177,15 +177,22 @@ def generate_subgroup(group: GroupSpec, generators) -> GroupSet:
         if any(c != 0 for c in g[k:]):
             raise InfiniteSubgroupError(f"generator {g} has infinite order")
         gens.append(g)
-    elems = {group.identity}
-    queue = [group.identity]
-    while queue:
-        u = queue.pop()
-        for g in gens:
-            v = compose(group, u, g)
-            if v not in elems:
-                elems.add(v)
-                queue.append(v)
+    # <H, g> is the union of the cosets H + j*g for j = 0 .. m - 1, where m
+    # is the least j >= 1 with j*g in H; a generator already in H adds nothing.
+    # Each coset is the last one plus g, and leads with j*g since H leads
+    # with the identity.
+    elems = [group.identity]
+    members = {group.identity}
+    for g in gens:
+        if g in members:
+            continue
+        coset, elems = elems, list(elems)
+        while True:
+            coset = [compose(group, x, g) for x in coset]
+            if coset[0] in members:
+                break
+            elems.extend(coset)
+        members = set(elems)
     return GroupSet(group, tuple(sorted(elems)))
 
 
@@ -381,23 +388,22 @@ def parse_group(literal: str) -> GroupSpec:
     """Parse a group literal: cyclic factors "Z<n>", bare "Z" for a free factor.
 
     Free factors must come last so the coordinate order matches the internal
-    layout (torsion first).  "Z1" alone denotes the trivial group.
+    layout (torsion first).  "Z1" alone denotes the trivial group.  As in
+    docs/instance.schema.json, no whitespace and only ASCII digits.
     """
-    text = literal.strip()
-    if text == "Z1":
+    if literal == "Z1":
         return GroupSpec((), 0)
     torsion: list[int] = []
     free_rank = 0
-    for token in text.split("x"):
-        token = token.strip()
+    for token in literal.split("x"):
         if token == "Z":
             free_rank += 1
             continue
-        # isdecimal, not isdigit: int() refuses digits such as superscripts
-        if not token.startswith("Z") or not token[1:].isdecimal():
+        digits = token[1:]
+        if not token.startswith("Z") or not (digits.isascii() and digits.isdigit()):
             raise InvalidElementError(f"bad group literal token {token!r} in {literal!r}")
         try:
-            n = int(token[1:])
+            n = int(digits)
         except ValueError:  # more digits than int() converts
             raise InvalidElementError(f"modulus of {len(token) - 1} digits is too large") from None
         if n < 2:

@@ -11,9 +11,11 @@ from deltoids import (
     Deltoid,
     GroupSet,
     GroupSpec,
+    InfiniteSubgroupError,
     InvalidParametersError,
     UnsupportedInfiniteGroupError,
     build_deltoid,
+    canonicalize,
     compose,
     cosets_of,
     elements_of,
@@ -137,6 +139,32 @@ def reference_assign(masks, k: int) -> tuple[list[list[int]], int]:
         else:
             unplaced += 1
     return holders, unplaced
+
+
+def reference_generate_subgroup(group: GroupSpec, generators) -> GroupSet:
+    """Closure of the generators (plus identity) under the group operation.
+
+    The breadth-first closure that composes every element with every
+    generator, kept as the reference that groups.generate_subgroup's coset
+    joins must agree with.
+    """
+    k = len(group.torsion)
+    gens = []
+    for g in generators:
+        g = canonicalize(group, g)
+        if any(c != 0 for c in g[k:]):
+            raise InfiniteSubgroupError(f"generator {g} has infinite order")
+        gens.append(g)
+    elems = {group.identity}
+    queue = [group.identity]
+    while queue:
+        u = queue.pop()
+        for g in gens:
+            v = compose(group, u, g)
+            if v not in elems:
+                elems.add(v)
+                queue.append(v)
+    return GroupSet(group, tuple(sorted(elems)))
 
 
 def reference_subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND):

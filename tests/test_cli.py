@@ -349,6 +349,25 @@ def test_instance_fields_follow_the_schema(capsys, tmp_path):
     number = write_instance(tmp_path, {"group": 12, "A": [[0]], "B": [[1]]}, "number.json")
     code, out, err = run_cli(capsys, "deficiency", number)
     assert _one_line_error(code, out, err) and "'group'" in err
+    # the group pattern has no whitespace and only ASCII digits; these used
+    # to give reports with exit 0
+    for literal in (" Z12 ", "Z2 x Z4", "Z\u0661\u0662"):
+        spaced = write_instance(tmp_path, {"group": literal, "A": [[0]], "B": [[1]]}, "g.json")
+        code, out, err = run_cli(capsys, "deficiency", spaced)
+        assert _one_line_error(code, out, err) and "group literal" in err
+        code, out, err = run_cli(capsys, "construct", "--group", literal, "--n", "8", "--ell", "2")
+        assert _one_line_error(code, out, err) and "group literal" in err
+
+
+@pytest.mark.parametrize("side", [5, None, "up", ["left"]])
+def test_partition_certificate_side_follows_the_schema(capsys, tmp_path, side):
+    # side is an enum in the report schema; 5 used to verify as "valid": false, exit 1
+    cert = json.loads((GOLDEN / "partition-right.json").read_text(encoding="utf-8"))
+    cert["certificates"]["partition"]["side"] = side
+    path = tmp_path / "side.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(path))
+    assert _one_line_error(code, out, err) and "side" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -434,6 +453,44 @@ def test_internal_fault_exits_four(capsys, monkeypatch, fault):
     code, out, err = run_cli(capsys, "deficiency", FIXTURE)
     assert code == 4 and not out and err.count("\n") == 1
     assert err.startswith("deltoids: internal error: ")
+
+
+def test_benchmark_spans_fire_once_per_run(capsys, monkeypatch):
+    # perfbench/replay.py wraps cli.load_instance and cli.render_json by name
+    # and records one span per outermost call; count calls the same way
+    calls = {"load_instance": 0, "render_json": 0}
+
+    def counting(name):
+        fn = getattr(cli, name)
+        depth = [0]
+
+        def wrapper(*args, **kwargs):
+            calls[name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    runs = [(argv, code) for _, code, argv in GOLDEN_CASES] + [
+        (["partition", FIXTURE, "--side", "left", "--k", "99"], 3),
+        (["witness", FIXTURE, "--ell", "-1"], 2),
+        (["construct", "--group", "Z1x", "--n", "8", "--ell", "2"], 2),
+    ]
+    assert {argv[0] for argv, _ in runs} == {
+        "deficiency", "match", "witness", "rho", "lambda", "partition", "construct",
+        "chowla", "verify",
+    }
+    for argv, expected_code in runs:
+        calls.update(load_instance=0, render_json=0)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == expected_code, argv
+        assert calls["load_instance"] == (argv[0] != "construct"), argv
+        assert calls["render_json"] == (code in (0, 1)), argv
 
 
 def test_benchmark_replay_wraps_names_the_library_has():

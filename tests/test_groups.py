@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -38,6 +39,7 @@ from helpers import (
     bucket_full_cosets,
     cyc,
     is_subgroup,
+    reference_generate_subgroup,
 )
 
 
@@ -118,6 +120,43 @@ def test_generate_subgroup_closed_for_small_generating_sets():
     for size in range(4):
         for gens in combinations(elems, size):
             assert is_subgroup(generate_subgroup(Z12, gens))
+
+
+def test_generate_subgroup_agrees_with_the_closure_bfs():
+    # unreduced and negative coordinates, zero free parts next to Z, empty
+    # generator lists, Z1, and generators of infinite order (same refusal)
+    rng = random.Random(7)
+    groups = [TRIVIAL, Z12, Z2xZ4, Z2xZ2, parse_group("Z3xZ3"), parse_group("Z360"),
+              Z2xZ, parse_group("Z6xZxZ")]
+    for group in groups:
+        k = len(group.torsion)
+        for _ in range(300):
+            gens = []
+            for _ in range(rng.randint(0, 4)):
+                head = [rng.randrange(-2 * n, 3 * n) for n in group.torsion]
+                free = [rng.choice((0, 0, 0, 0, 0, 0, 0, 0, 0, rng.randint(-3, 3)))
+                        for _ in range(group.free_rank)]
+                gens.append(tuple(head + free))
+            try:
+                expected = reference_generate_subgroup(group, gens)
+            except InfiniteSubgroupError as err:
+                with pytest.raises(InfiniteSubgroupError) as caught:
+                    generate_subgroup(group, gens)
+                assert str(caught.value) == str(err)
+                assert any(any(g[k:]) for g in gens)
+                continue
+            assert generate_subgroup(group, gens) == expected, (group, gens)
+
+
+def test_generate_subgroup_joins_cosets_not_elements():
+    # the closure BFS composes each of the 2,500 elements with each of the
+    # 2,499 generators (about 24 s); the coset joins skip every generator
+    # already in the closure
+    group = GroupSpec((10_000,))
+    start = time.perf_counter()
+    H = generate_subgroup(group, cyc(*range(4, 10_000, 4)))
+    assert time.perf_counter() - start < 1.0
+    assert H.elements == tuple(cyc(*range(0, 10_000, 4)))
 
 
 def test_enumerate_subgroups_orders():
@@ -281,7 +320,10 @@ def test_group_literals_round_trip():
 
 
 def test_group_literal_errors():
-    # int() refuses a superscript digit and more than 4,300 digits
-    for bad in ("", "Q8", "Z0", "Z-2", "ZxZ2", "Z2x", "z12", "Z\u00b2", "Z" + "9" * 5000):
+    # int() refuses a superscript digit and more than 4,300 digits; the
+    # schema's pattern has no whitespace and only ASCII digits, so the last
+    # three (which used to parse) are refused too
+    for bad in ("", "Q8", "Z0", "Z-2", "ZxZ2", "Z2x", "z12", "Z\u00b2", "Z" + "9" * 5000,
+                " Z12 ", "Z2 x Z4", "Z\u0661\u0662"):
         with pytest.raises(InvalidElementError):
             parse_group(bad)
