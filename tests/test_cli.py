@@ -70,6 +70,8 @@ GOLDEN_CASES = [
     ("partition-left", 0, ["partition", FIXTURE, "--side", "left"]),
     ("partition-right", 0, ["partition", FIXTURE, "--side", "right"]),
     ("construct-z12", 0, ["construct", "--group", "Z12", "--n", "8", "--ell", "2"]),
+    # arrays past 72 characters, which render one element per line
+    ("construct-z24", 0, ["construct", "--group", "Z24", "--n", "16", "--ell", "1"]),
     ("chowla", 0, ["chowla", FIXTURE]),
     ("verify-witness", 0,
      ["verify", FIXTURE, "--certificate", str(GOLDEN / "witness-ell2.json")]),
