@@ -94,6 +94,13 @@ def _elements(raw, where: str) -> list:
     return raw
 
 
+def _array(value, field: str) -> list:
+    """Check a certificate field the report schema types as an array; errors name it."""
+    if not isinstance(value, list):
+        raise InstanceFileError(f"certificate: {field} must be an array")
+    return value
+
+
 def _require(obj: dict, field: str, path: str):
     if field not in obj:
         raise InstanceFileError(f"{path}: missing field {field!r}")
@@ -150,13 +157,13 @@ def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
 
 
 def _parse_matching(group, obj: dict) -> PartialMatching:
-    canon = _pairs(group, _require(obj, "pairs", "certificate"))
+    canon = _pairs(group, _require(obj, "pairs", "certificate"), "pairs")
     return PartialMatching(canon, _count(obj, "defect"))
 
 
-def _pairs(group, pairs) -> tuple:
+def _pairs(group, pairs, field: str) -> tuple:
     canon = []
-    for pair in pairs:
+    for pair in _array(pairs, field):
         if len(_elements(pair, "certificate: pair")) != 2:
             raise InstanceFileError("certificate: each pair must be [a, b]")
         canon.append((canonicalize(group, pair[0]), canonicalize(group, pair[1])))
@@ -179,11 +186,11 @@ def _parse_partition(group, size: int, obj: dict) -> AdmissiblePartition:
         raise InstanceFileError('certificate: side must be "left" or "right"')
     classes = tuple(
         GroupSet.of(group, _elements(c, "certificate: class"))
-        for c in _require(obj, "classes", "certificate")
+        for c in _array(_require(obj, "classes", "certificate"), "classes")
     )
     matchings = []
-    for pairs in _require(obj, "matchings", "certificate"):
-        canon = _pairs(group, pairs)
+    for pairs in _array(_require(obj, "matchings", "certificate"), "matchings"):
+        canon = _pairs(group, pairs, "each item of matchings")
         # certificates carry pairs only; the defect follows from the instance size
         matchings.append(PartialMatching(canon, size - len(canon)))
     return AdmissiblePartition(side, classes, tuple(matchings))
@@ -361,10 +368,7 @@ def _cmd_verify(deltoid: Deltoid, args) -> tuple:
     for name in sorted(named):
         if not isinstance(named[name], dict):
             raise InstanceFileError(f"certificate {name!r} must be an object")
-        try:
-            kind, ok, reason = _verify_one(deltoid, named[name])
-        except (TypeError, ValueError) as err:
-            raise InstanceFileError(f"certificate {name!r}: malformed ({err})") from None
+        kind, ok, reason = _verify_one(deltoid, named[name])
         checks.append({"name": name, "kind": kind, "valid": ok, "reason": reason})
     all_ok = all(c["valid"] for c in checks)
     return (0 if all_ok else 1), {"valid": all_ok, "checks": checks}, None

@@ -10,11 +10,10 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
 from math import gcd, lcm, prod
-from operator import and_, or_
+from operator import and_, attrgetter, index, or_
 
 from .errors import (
     GroupMismatchError,
@@ -29,22 +28,65 @@ Element = tuple[int, ...]
 DEFAULT_ORDER_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _Value:
+    """Immutable value: equality (within one class), hash, repr and pickling
+    over the fields named in _fields, which __init__ sets once through
+    object.__setattr__; setting or deleting an attribute raises
+    AttributeError.  cached_property writes to the instance __dict__, so it
+    works on subclasses without __slots__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # every subclass has at least two fields, so _key returns a tuple
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        # most comparisons are of a group with itself, e.g. in _same_group
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{self.__class__.__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class GroupSpec(_Value):
     """An abelian group Z/n1 x ... x Z/nk x Z^r; moduli >= 2, free_rank >= 0.
 
     The trivial group is torsion=() with free_rank=0.
     """
 
-    torsion: tuple[int, ...] = ()
-    free_rank: int = 0
+    _fields = __slots__ = ("torsion", "free_rank")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(n) for n in self.torsion))
-        if any(n < 2 for n in self.torsion):
-            raise InvalidElementError(f"torsion moduli must be >= 2, got {self.torsion}")
-        if self.free_rank < 0:
-            raise InvalidElementError(f"free_rank must be >= 0, got {self.free_rank}")
+    def __init__(self, torsion: tuple[int, ...] = (), free_rank: int = 0):
+        try:
+            torsion, free_rank = tuple(map(index, torsion)), index(free_rank)
+        except TypeError:
+            raise InvalidElementError(
+                f"torsion moduli and free_rank must be integers, got {torsion!r}, {free_rank!r}"
+            ) from None
+        if any(n < 2 for n in torsion):
+            raise InvalidElementError(f"torsion moduli must be >= 2, got {torsion}")
+        if free_rank < 0:
+            raise InvalidElementError(f"free_rank must be >= 0, got {free_rank}")
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "free_rank", free_rank)
 
     @property
     def dimension(self) -> int:
@@ -114,16 +156,18 @@ def elements_of(group: GroupSpec) -> list[Element]:
     return list(product(*(range(n) for n in group.torsion)))
 
 
-@dataclass(frozen=True)
-class GroupSet:
+class GroupSet(_Value):
     """A deduplicated, canonically sorted finite subset of a group.
 
     Instance sets, certificate parts and subgroups are all GroupSets.
     Build one with :meth:`of`; the raw constructor trusts its input.
     """
 
-    group: GroupSpec
-    elements: tuple[Element, ...]
+    _fields = ("group", "elements")
+
+    def __init__(self, group: GroupSpec, elements: tuple[Element, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "elements", elements)
 
     @classmethod
     def of(cls, group: GroupSpec, elements) -> "GroupSet":

@@ -14,37 +14,40 @@ lambda) searches with lookahead, which finds the same count faster.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import islice
 from operator import sub
 
 from .errors import InvalidDefectError, ResourceLimitError
-from .groups import Element
+from .groups import Element, _Value
 from .sets import Deltoid
 
 DEFAULT_SUBSET_BOUND = 22
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Outcome of a validity check; falsy with a reason when it fails."""
 
-    ok: bool
-    reason: str = ""
+    _fields = __slots__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PartialMatching:
+class PartialMatching(_Value):
     """An injective partial assignment A -> B along the adjacency.
 
     pairs are (a, b) in canonical order of a; defect = |A| - len(pairs).
     """
 
-    pairs: tuple[tuple[Element, Element], ...]
-    defect: int
+    _fields = __slots__ = ("pairs", "defect")
+
+    def __init__(self, pairs: tuple[tuple[Element, Element], ...], defect: int):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "defect", defect)
 
 
 def assign(masks, k: int, lookahead: bool = False) -> tuple[list[list[int]], int]:

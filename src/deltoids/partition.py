@@ -10,7 +10,6 @@ split across classes, so every answer ships with verifiable certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import floordiv, neg, sub
 
@@ -20,7 +19,7 @@ from .errors import (
     InvalidParametersError,
     InvalidWitnessError,
 )
-from .groups import DEFAULT_ORDER_BOUND, GroupSet
+from .groups import DEFAULT_ORDER_BOUND, GroupSet, _Value
 from .matching import (
     DEFAULT_SUBSET_BOUND,
     PartialMatching,
@@ -34,8 +33,7 @@ from .structure import ObstructionWitness, verify_witness
 from .transform import subgroup_terms
 
 
-@dataclass(frozen=True)
-class AdmissiblePartition:
+class AdmissiblePartition(_Value):
     """k disjoint admissible classes covering A (left) or B (right).
 
     classes[i] is certified by matchings[i]: the class is its domain on the
@@ -43,9 +41,14 @@ class AdmissiblePartition:
     empty when k exceeds the minimum.
     """
 
-    side: str
-    classes: tuple[GroupSet, ...]
-    matchings: tuple[PartialMatching, ...]
+    _fields = __slots__ = ("side", "classes", "matchings")
+
+    def __init__(
+        self, side: str, classes: tuple[GroupSet, ...], matchings: tuple[PartialMatching, ...]
+    ):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "matchings", matchings)
 
 
 def _ceil_div(a: int, b: int) -> int:

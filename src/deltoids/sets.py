@@ -9,7 +9,6 @@ sweeps elsewhere in the package cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import add, itemgetter, neg
@@ -27,19 +26,22 @@ from .groups import (
     _MASK_BITS_PER_ELEMENT,
     _check_dimension,
     _Masks,
+    _Value,
     canonicalize,
     compose,
     order,
 )
 
 
-@dataclass(frozen=True)
-class Deltoid:
+class Deltoid(_Value):
     """Validated instance (A, B) with its full adjacency, one bitmask per row."""
 
-    A: GroupSet
-    B: GroupSet
-    rows: tuple[int, ...]
+    _fields = ("A", "B", "rows")
+
+    def __init__(self, A: GroupSet, B: GroupSet, rows: tuple[int, ...]):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:

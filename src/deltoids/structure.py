@@ -9,7 +9,6 @@ pairs of prescribed size whose deficiency exceeds a prescribed level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import or_
 
 from .errors import (
@@ -25,6 +24,7 @@ from .groups import (
     GroupSpec,
     _Masks,
     _saturate,
+    _Value,
     cosets_of,
     elements_of,
     enumerate_subgroups,  # noqa: F401  unused here; perfbench/replay.py wraps it by name
@@ -37,15 +37,17 @@ from .sets import Deltoid
 from .transform import subgroup_terms
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(_Value):
     """Decomposition A = S + Y, B = R + Z certifying deficiency > level."""
 
-    S: GroupSet
-    R: GroupSet
-    Y: GroupSet
-    Z: GroupSet
-    level: int
+    _fields = __slots__ = ("S", "R", "Y", "Z", "level")
+
+    def __init__(self, S: GroupSet, R: GroupSet, Y: GroupSet, Z: GroupSet, level: int):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "level", level)
 
 
 def find_witness(

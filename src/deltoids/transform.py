@@ -9,7 +9,6 @@ enumeration in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import GroupMismatchError, InvalidInputError, InvalidWitnessError
@@ -18,6 +17,7 @@ from .groups import (
     Element,
     GroupSet,
     _search_subgroups,
+    _Value,
     canonicalize,
     compose,
     enumerate_subgroups,  # noqa: F401  unused here; perfbench/replay.py wraps it by name
@@ -27,13 +27,15 @@ from .matching import Verdict
 from .sets import Deltoid
 
 
-@dataclass(frozen=True)
-class StabilizerPair:
+class StabilizerPair(_Value):
     """A pair (S, R) with S*R = S, scored by |S| - |B \\ R|."""
 
-    S: GroupSet
-    R: GroupSet
-    value: int
+    _fields = __slots__ = ("S", "R", "value")
+
+    def __init__(self, S: GroupSet, R: GroupSet, value: int):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "value", value)
 
     def validate(self, D: Deltoid) -> Verdict:
         group = D.A.group

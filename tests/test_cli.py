@@ -372,6 +372,26 @@ def test_partition_certificate_side_follows_the_schema(capsys, tmp_path, side):
     assert _one_line_error(code, out, err) and "side" in err
 
 
+@pytest.mark.parametrize("bad", [5, {"a": [1]}, "ab"], ids=["int", "object", "string"])
+@pytest.mark.parametrize("field", ["pairs", "classes", "matchings", "matchings item"])
+def test_certificate_arrays_are_checked_by_name(capsys, tmp_path, field, bad):
+    # the report schema types these as arrays; an int used to exit 2 as
+    # "malformed ('int' object is not iterable)", naming no field
+    if field == "pairs":
+        cert = {"kind": "matching", "pairs": bad, "defect": 0}
+    else:
+        report = json.loads((GOLDEN / "partition-right.json").read_text(encoding="utf-8"))
+        cert = report["certificates"]["partition"]
+        if field == "matchings item":
+            cert["matchings"][0] = bad
+        else:
+            cert[field] = bad
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(path))
+    assert _one_line_error(code, out, err) and field.split()[0] in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 2 and "usage" in err

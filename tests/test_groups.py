@@ -96,6 +96,10 @@ def test_group_spec_validation():
         GroupSpec((1,))
     with pytest.raises(InvalidElementError):
         GroupSpec((), -1)
+    # non-integer moduli and free rank used to be truncated, parsed or accepted
+    for torsion, free_rank in [((2.7,), 0), (("12",), 0), ((), 1.5)]:
+        with pytest.raises(InvalidElementError):
+            GroupSpec(torsion, free_rank)
     assert TRIVIAL.order == 1
     assert TRIVIAL.identity == ()
 
