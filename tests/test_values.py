@@ -9,18 +9,23 @@ from pathlib import Path
 
 import pytest
 
-from deltoids.groups import GroupSet, GroupSpec
-from deltoids.matching import PartialMatching, Verdict
-from deltoids.partition import AdmissiblePartition
-from deltoids.sets import Deltoid, build_deltoid
-from deltoids.structure import ObstructionWitness
-from deltoids.transform import StabilizerPair
+from deltoids import (
+    AdmissiblePartition,
+    Deltoid,
+    GroupSet,
+    GroupSpec,
+    ObstructionWitness,
+    PartialMatching,
+    StabilizerPair,
+    Verdict,
+    build_deltoid,
+)
+from helpers import Z12, cyc, gset
 
 ROOT = Path(__file__).resolve().parent.parent
 
-Z12 = GroupSpec((12,))
-A = GroupSet.of(Z12, [(0,), (1,), (3,)])
-B = GroupSet.of(Z12, [(2,), (4,), (6,)])
+A = gset(Z12, cyc(0, 1, 3))
+B = gset(Z12, cyc(2, 4, 6))
 D = build_deltoid(A, B)
 M = PartialMatching((((0,), (2,)),), 2)
 
