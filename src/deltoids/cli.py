@@ -315,17 +315,16 @@ def _cmd_partition(deltoid: Deltoid, args) -> tuple:
 
 def _cmd_construct(group: GroupSpec, args) -> tuple:
     try:
-        A, B = construct_deficient_pair(group, args.n, args.ell)
+        witness = construct_deficient_pair(group, args.n, args.ell)
     except NoConstructionError as err:
         return 1, {"present": False, "reason": str(err)}, None
-    deltoid = build_deltoid(A, B)
+    A, B = witness.S.union(witness.Y), witness.R.union(witness.Z)
     results = {
         "present": True,
         "instance": _enc_instance(A, B),
-        "deficiency": deficiency(deltoid),
+        "deficiency": deficiency(build_deltoid(A, B)),
     }
-    witness = find_witness(deltoid, args.ell)
-    return 0, results, {"witness": _witness_cert(witness)} if witness else None
+    return 0, results, {"witness": _witness_cert(witness)}
 
 
 def _cmd_chowla(deltoid: Deltoid, args) -> tuple:
@@ -364,6 +363,8 @@ def _cmd_verify(deltoid: Deltoid, args) -> tuple:
         raise InstanceFileError("certificate file has neither 'kind' nor 'certificates'")
     if not isinstance(named, dict):
         raise InstanceFileError("'certificates' must be an object")
+    if not named:
+        raise InstanceFileError("'certificates' is empty: nothing to verify")
     checks = []
     for name in sorted(named):
         if not isinstance(named[name], dict):

@@ -150,14 +150,28 @@ def existence_predicate(
 
 def construct_deficient_pair(
     group: GroupSpec, n: int, level: int, order_bound: int = DEFAULT_ORDER_BOUND
-) -> tuple[GroupSet, GroupSet]:
-    """Build (A, B) with |A| = |B| = n, identity outside B, deficiency > level.
+) -> ObstructionWitness:
+    """The witness of a built pair A = S + Y, B = R + Z with deficiency > level.
 
-    With H the qualifying subgroup and n = |H|q + r: A is the first q
-    cosets of H plus the first r leftover elements, B is H minus the
-    identity plus the first n - |H| + 1 elements outside H's nonidentity
-    part.  All free choices go to the smallest elements, so the output is
-    deterministic.
+    |A| = |B| = n and the identity lies outside B.  With H the qualifying
+    subgroup, m = |H| and n = mq + r: S is the first q cosets of H and Y the
+    first r elements outside them, R is H minus the identity and Z the first
+    n - m + 1 elements outside H.  All free choices go to the smallest
+    elements, so the output is deterministic.
+
+    It is the witness find_witness(build_deltoid(S + Y, R + Z), level)
+    returns, so no subgroup search is needed to find it again:
+    (1) a term K of order k scoring |full_K(A)| - n + |B n K| > level has
+    |full_K(A)| = tk <= n with t >= 1 and |B n K| <= k - 1, so
+    (t + 1)k >= n + level + 2; no multiple of k lies in n+1 .. n+level+1,
+    k qualifies, and k >= m.
+    (2) subgroup_terms runs in (size, elements) order and H is the
+    canonically first subgroup of order m, so no term before H scores above
+    the level.
+    (3) H = <B n H> is a term and scores above the level: its full cosets in
+    A are the q chosen ones (any other coset holds at most r < m elements of
+    A), B n H = H minus the identity because Z lies outside H, and m divides
+    none of n+1 .. n+level+1, which gives m - 1 - r > level.
     """
     sub = existence_predicate(group, n, level, order_bound)
     if sub is None:
@@ -167,18 +181,16 @@ def construct_deficient_pair(
     m = len(sub.elements)
     q, r = divmod(n, m)
     cosets = cosets_of(group, sub)
-    s_elems = sorted(x for coset in cosets[:q] for x in coset)
-    s_set = set(s_elems)
+    S = GroupSet.of(group, [x for coset in cosets[:q] for x in coset])
     everything = elements_of(group)
-    y_elems = [x for x in everything if x not in s_set][:r]
-    if len(y_elems) < r:
+    Y = GroupSet.of(group, [x for x in everything if x not in S.member_set][:r])
+    if len(Y.elements) < r:
         raise InternalConstructorError("ran out of elements for Y")
     z_count = n - m + 1
-    z_elems = [x for x in everything if x not in sub.member_set][:z_count]
-    if len(z_elems) < z_count:
+    Z = GroupSet.of(group, [x for x in everything if x not in sub.member_set][:z_count])
+    if len(Z.elements) < z_count:
         raise InternalConstructorError("ran out of elements for Z")
-    A = GroupSet.of(group, s_elems + y_elems)
-    B = GroupSet.of(group, [*sub.elements[1:], *z_elems])  # the identity sorts first in H
-    if len(A.elements) != n or len(B.elements) != n:
+    R = GroupSet(group, sub.elements[1:])  # the identity sorts first in H
+    if len(S.union(Y).elements) != n or len(R.union(Z).elements) != n:
         raise InternalConstructorError("constructed sets have the wrong size")
-    return A, B
+    return ObstructionWitness(S=S, R=R, Y=Y, Z=Z, level=level)

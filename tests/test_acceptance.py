@@ -139,8 +139,8 @@ def test_criterion_5_existence_theorem_both_directions():
             sub = existence_predicate(Z12, n, level)
             if sub is None:
                 continue
-            A, B = construct_deficient_pair(Z12, n, level)
-            if deficiency(build_deltoid(A, B)) <= level:
+            w = construct_deficient_pair(Z12, n, level)
+            if deficiency(build_deltoid(w.S.union(w.Y), w.R.union(w.Z))) <= level:
                 failures.append(("construct", n, level))
     # converse: predicate absent -> no counterexample, exhaustively for
     # n <= 4 and by 10^4 seeded samples for larger n

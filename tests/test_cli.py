@@ -72,6 +72,10 @@ GOLDEN_CASES = [
     ("construct-z12", 0, ["construct", "--group", "Z12", "--n", "8", "--ell", "2"]),
     # arrays past 72 characters, which render one element per line
     ("construct-z24", 0, ["construct", "--group", "Z24", "--n", "16", "--ell", "1"]),
+    # non-cyclic: many subgroups of one order, of which H is the canonically first
+    ("construct-z2xz4xz8", 0, ["construct", "--group", "Z2xZ4xZ8", "--n", "40", "--ell", "1"]),
+    ("construct-z2-to-the-5", 0,
+     ["construct", "--group", "Z2xZ2xZ2xZ2xZ2", "--n", "20", "--ell", "1"]),
     ("chowla", 0, ["chowla", FIXTURE]),
     ("verify-witness", 0,
      ["verify", FIXTURE, "--certificate", str(GOLDEN / "witness-ell2.json")]),
@@ -87,6 +91,22 @@ def test_report_bytes_match_golden(capsys, name, expected_code, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (expected_code, "")
     assert out == (GOLDEN / f"{name}.json").read_bytes().decode("utf-8")
+
+
+def test_construct_runs_no_subgroup_search(capsys, monkeypatch):
+    # construct reports the witness it built; neither the witness search nor
+    # the subgroup search it runs on (looked up in transform) may be called
+    def searched(*args, **kwargs):
+        raise AssertionError("construct searched for its own witness")
+
+    monkeypatch.setattr(cli, "find_witness", searched)
+    monkeypatch.setattr("deltoids.transform._search_subgroups", searched)
+    cases = [case for case in GOLDEN_CASES if case[2][0] == "construct"]
+    assert len(cases) == 4
+    for name, expected_code, argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (expected_code, ""), name
+        assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name
 
 
 def test_witness_present_and_absent(capsys, tmp_path):
@@ -411,6 +431,14 @@ def test_verify_rejects_non_object_certificates(capsys, tmp_path):
     string.write_text(json.dumps("kind"), encoding="utf-8")
     code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(string))
     assert _one_line_error(code, out, err) and "top level" in err
+
+
+def test_verify_rejects_empty_certificates(capsys, tmp_path):
+    # used to print "valid": true with no checks and exit 0
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"certificates": {}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(empty))
+    assert _one_line_error(code, out, err) and "'certificates' is empty" in err
 
 
 @pytest.mark.parametrize("bad", [1.7, True, "1"])

@@ -1,9 +1,12 @@
 """Group arithmetic, subgroup enumeration, and coset machinery."""
 
+import json
 import math
 import random
+import re
 import time
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +324,35 @@ def test_group_literals_round_trip():
         assert format_group(parse_group(literal)) == literal
     assert parse_group("Z2xZ") == Z2xZ
     assert parse_group("Z1") == TRIVIAL
+
+
+def test_schema_group_pattern_accepts_what_parse_group_accepts():
+    # docs/instance.schema.json's pattern against the parser, on every join
+    # of up to three tokens; fullmatch, since Python's $ (unlike JSON
+    # Schema's) also matches before a final newline
+    schema = Path(__file__).resolve().parent.parent / "docs" / "instance.schema.json"
+    pattern = json.loads(schema.read_text(encoding="utf-8"))["properties"]["group"]["pattern"]
+    tokens = ["Z", "Z0", "Z00", "Z1", "Z01", "Z001", "Z2", "Z02", "Z9", "Z10", "Z010",
+              "Z12", "Z100", "z2", "Q8", "Z-2", "Z 2", "Z\u00b2", "Z\u0661", ""]
+    corpus = ["".join(p) for p in product(tokens, repeat=1)]
+    corpus += ["x".join(p) for k in (2, 3) for p in product(tokens, repeat=k)]
+    corpus += ["Z12\n", " Z12 ", "Z2 x Z4", "Z2xxZ4", "xZ2", "Z2X Z4", "Z1xZ1"]
+    accepted = 0
+    for literal in corpus:
+        try:
+            parse_group(literal)
+        except InvalidElementError:
+            parsed = False
+        else:
+            parsed = True
+            accepted += 1
+        assert parsed == bool(re.fullmatch(pattern, literal)), repr(literal)
+    assert len(corpus) == 8427 and accepted == 466
+    # the one gap the pattern leaves: int() refuses a modulus of more than
+    # 4,300 digits, which the schema's description states
+    assert re.fullmatch(pattern, "Z" + "9" * 5000)
+    with pytest.raises(InvalidElementError, match="too large"):
+        parse_group("Z" + "9" * 5000)
 
 
 def test_group_literal_errors():

@@ -6,14 +6,12 @@ import time
 import pytest
 
 from deltoids import (
-    GroupSet,
     GroupSpec,
     InvalidParametersError,
     NoConstructionError,
     ObstructionWitness,
     build_deltoid,
     construct_deficient_pair,
-    cosets_of,
     deficiency,
     enumerate_subgroups,
     existence_predicate,
@@ -110,8 +108,8 @@ def test_witness_soundness_blocks_matching():
         for level in range(5):
             if existence_predicate(Z12, n, level) is None:
                 continue
-            A, B = construct_deficient_pair(Z12, n, level)
-            D = build_deltoid(A, B)
+            built = construct_deficient_pair(Z12, n, level)
+            D = build_deltoid(built.S.union(built.Y), built.R.union(built.Z))
             w = find_witness(D, level)
             assert w is not None and verify_witness(D, w)
             assert partial_matching_with_defect(D, level) is None
@@ -202,7 +200,8 @@ def test_existence_predicate_on_big_lattices():
 
 
 def test_construct_deficient_pair_golden():
-    A, B = construct_deficient_pair(Z12, 8, 2)
+    w = construct_deficient_pair(Z12, 8, 2)
+    A, B = w.S.union(w.Y), w.R.union(w.Z)
     assert len(A.elements) == len(B.elements) == 8
     assert (0,) not in B
     D = build_deltoid(A, B)
@@ -214,7 +213,8 @@ def test_construct_deficient_pair_golden():
 
 
 def test_construct_matches_its_own_witness():
-    # rebuild the defining decomposition and check it verifies at the level
+    # the returned witness verifies at the level on the pair it describes:
+    # S is q full cosets of the qualifying subgroup, R that subgroup minus 0
     for n in range(2, 12):
         for level in range(5):
             sub = existence_predicate(Z12, n, level)
@@ -222,18 +222,39 @@ def test_construct_matches_its_own_witness():
                 with pytest.raises(NoConstructionError):
                     construct_deficient_pair(Z12, n, level)
                 continue
-            A, B = construct_deficient_pair(Z12, n, level)
-            D = build_deltoid(A, B)
-            m = len(sub.elements)
-            q = n // m
-            s_elems = sorted(x for coset in cosets_of(Z12, sub)[:q] for x in coset)
-            S = GroupSet.of(Z12, s_elems)
-            R = GroupSet.of(Z12, [x for x in sub.elements if x != (0,)])
-            w = ObstructionWitness(
-                S=S, R=R, Y=A.difference(S), Z=B.difference(R), level=level
-            )
+            w = construct_deficient_pair(Z12, n, level)
+            D = build_deltoid(w.S.union(w.Y), w.R.union(w.Z))
+            assert D.size == n and w.level == level
+            assert w.R.elements == sub.elements[1:]
+            assert len(w.S.elements) == n - n % len(sub.elements)
             assert verify_witness(D, w)
             assert deficiency(D) > level
+
+
+def test_construct_returns_the_first_witness():
+    # the built witness is the one the subgroup search finds on the built
+    # pair, so construct reports the same bytes without searching
+    literals = [
+        "Z6", "Z8", "Z12", "Z16", "Z18", "Z24", "Z30", "Z2xZ2", "Z2xZ2xZ2",
+        "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2xZ2", "Z2xZ4", "Z2xZ6", "Z3xZ3", "Z4xZ4",
+        "Z2xZ2xZ4", "Z2xZ3xZ4", "Z36", "Z60", "Z6xZ6", "Z2xZ4xZ8",
+    ]
+    checked = 0
+    for literal in literals:
+        group = parse_group(literal)
+        smallest = min(m for m in range(2, group.order) if group.order % m == 0)
+        for n in range(smallest, group.order):
+            for level in range(min(n, 8)):
+                if existence_predicate(group, n, level) is None:
+                    with pytest.raises(NoConstructionError):
+                        construct_deficient_pair(group, n, level)
+                    continue
+                w = construct_deficient_pair(group, n, level)
+                D = build_deltoid(w.S.union(w.Y), w.R.union(w.Z))
+                assert verify_witness(D, w), (literal, n, level)
+                assert w == find_witness(D, level), (literal, n, level)
+                checked += 1
+    assert checked == 1858
 
 
 def test_forward_direction_from_random_instances():
