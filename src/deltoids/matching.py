@@ -1,9 +1,11 @@
 """Maximum partial matchings and the deficiency of an instance.
 
 Two independent routes to the same number live here: an augmenting-path
-maximum matching over the adjacency, and the definitional sweep over all
-2^|A| subsets that maximizes |S| - |delta(S)| (the defect form of Hall's
-condition).  They are cross-checked against each other in the test suite.
+maximum matching over the adjacency, and the definitional maximum of
+|S| - |delta(S)| over all 2^|A| subsets (the defect form of Hall's
+condition), read off the one subset sweep: two byte planes holding |S| and
+|delta(S)| for every subset, which rho and lambda read too.  The two routes
+are cross-checked against each other in the test suite.
 The augmenting search is the capacity-k assign, which also builds the
 admissible partitions.  Whatever is shown as a certificate (matching pairs,
 partition classes) comes from its Kuhn order; a call that needs only how
@@ -13,15 +15,15 @@ lambda) searches with lookahead, which finds the same count faster.
 
 from __future__ import annotations
 
-from array import array
-from itertools import islice
-from operator import sub
-
 from .errors import InvalidDefectError, ResourceLimitError
 from .groups import Element, _Value
 from .sets import Deltoid
 
 DEFAULT_SUBSET_BOUND = 22
+
+_BLOCK_ROWS = 16  # subset_planes builds its degrees 2^16 subsets at a time
+_POPCOUNT = bytes(map(int.bit_count, range(256)))
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 class Verdict(_Value):
@@ -145,31 +147,73 @@ def partial_matching_with_defect(D: Deltoid, d: int) -> PartialMatching | None:
     return PartialMatching(best.pairs[:keep], d)
 
 
-def subset_neighborhoods(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> array:
-    """Neighborhoods of all 2^|A| subsets: table[m] is the column mask of delta(S).
+def subset_planes(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND):
+    """Sizes and neighborhood sizes of all 2^|A| subsets, one byte per subset.
 
-    S is the subset of A at the row positions set in m.  The table is built
-    by doubling in place: once rows 0..i-1 are in, the subsets that also
-    hold row i are the table so far ORed with that row.  Refuses instances
-    above subset_bound.
+    Returns (sizes, degrees): sizes[m] = |S| and degrees[m] = |delta(S)|,
+    where S is the subset of A at the row positions set in m.  degrees is
+    built in blocks of 2^16 subsets: a block's column masks are the lanes
+    of one int, grown by doubling over the first 16 rows and ORed with the
+    mask of the block's remaining rows copied into every lane; the lanes
+    are popcounted a byte at a time through a table and their byte counts
+    summed.  sizes is built by doubling, each half the one before plus one.
+    Refuses instances above subset_bound.
+
+    Both planes hold values up to n.  The sweeps add two planes lane by lane
+    as one int, with sums up to 2n in deficiency_by_subsets and up to
+    n + 127 in the rho and lambda probes, so no lane carries into the next
+    while n <= 127, far past any sweep that fits in memory.
     """
     n = D.size
     if n > subset_bound:
         raise ResourceLimitError(f"|A| = {n} exceeds subset sweep bound {subset_bound}")
-    table = array("Q", [0])
-    for row in D.rows:
-        table.extend(map(row.__or__, islice(table, len(table))))
-    return table
+    sizes = bytearray(1)
+    for _ in range(n):
+        sizes += sizes.translate(_PLUS_ONE)
+    width = (n + 7) // 8  # bytes per lane, enough for a column mask
+    lanes, ones, low = 1, 1, 0
+    for row in D.rows[:_BLOCK_ROWS]:
+        shift = lanes * 8 * width
+        low |= (low | row * ones) << shift
+        ones |= ones << shift
+        lanes *= 2
+    highs = [0]
+    for row in D.rows[_BLOCK_ROWS:]:
+        highs += [high | row for high in highs]
+    degrees = bytearray(lanes * len(highs))
+    for start, high in zip(range(0, len(degrees), lanes), highs):
+        counts = (low | high * ones).to_bytes(lanes * width, "little").translate(_POPCOUNT)
+        if width > 1:
+            # at most n <= 255 per lane, so the byte sums never carry
+            total = sum(int.from_bytes(counts[i::width], "little") for i in range(width))
+            counts = total.to_bytes(lanes, "little")
+        degrees[start : start + lanes] = counts
+    return sizes, degrees
+
+
+def _complement_table(n: int) -> bytes:
+    # translate table taking each byte x <= n to n - x
+    return bytes(range(n, -1, -1)).ljust(256, b"\0")
 
 
 def deficiency_by_subsets(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
     """Definitional oracle: max over all S of |S| - |delta(S)|.
 
-    One scan of the subset table; refuses instances above subset_bound.
+    The largest lane of |S| + (n - |delta(S)|), at least n from S empty,
+    found by testing the byte values from 2n down; refuses instances above
+    subset_bound.
     """
-    table = subset_neighborhoods(D, subset_bound)
-    sizes = map(int.bit_count, range(len(table)))
-    return max(map(sub, sizes, map(int.bit_count, table)))
+    n = D.size
+    sizes, degrees = subset_planes(D, subset_bound)
+    rest = degrees.translate(_complement_table(n))
+    del degrees
+    lanes = (int.from_bytes(sizes, "little") + int.from_bytes(rest, "little")).to_bytes(
+        len(sizes), "little"
+    )
+    top = 2 * n
+    while top not in lanes:
+        top -= 1
+    return top - n
 
 
 def verify_matching(D: Deltoid, f: PartialMatching) -> Verdict:

@@ -10,8 +10,6 @@ split across classes, so every answer ships with verifiable certificates.
 from __future__ import annotations
 
 import math
-from itertools import islice, repeat
-from operator import floordiv, neg, sub
 
 from .errors import (
     InfiniteRhoError,
@@ -24,8 +22,9 @@ from .matching import (
     DEFAULT_SUBSET_BOUND,
     PartialMatching,
     Verdict,
+    _complement_table,
     assign,
-    subset_neighborhoods,
+    subset_planes,
     verify_matching,
 )
 from .sets import Deltoid
@@ -63,36 +62,63 @@ def _rho_is_infinite(D: Deltoid) -> bool:
     return mask != D.full_mask
 
 
+def _least_clear_k(fixed: int, plane, n: int) -> int:
+    # The least k in [1, n] at which no lane of fixed + T_k[plane] reaches
+    # 128, where T_k[y] = 127 - min(k * y, n).  A lane of fixed holds some
+    # x <= n, so it reaches 128 exactly when x > k * y; lanes stay below
+    # 128 + n, so no sum carries into the next lane.  The caller makes
+    # k = n clear, and clearing is monotone in k.
+    pad = bytes([127 - n])
+    lo, hi = 1, n
+    while lo < hi:
+        k = (lo + hi) // 2
+        table = bytes(range(127, 126 - n, -k)).ljust(256, pad)
+        lanes = fixed + int.from_bytes(plane.translate(table), "little")
+        if lanes.to_bytes(len(plane), "little").isascii():
+            hi = k
+        else:
+            lo = k + 1
+    return lo
+
+
 def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     """Right partition number by the definitional subset sweep.
 
     math.inf when some element of B stabilizes A; otherwise the maximum of
     ceil(|U_S| / (|A| - |S|)) over proper subsets S, which is at least 1.
+    Since ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at
+    which no proper S has n - |delta(S)| > k(n - |S|), found by bisection
+    over the subset planes.  S = A never counts: rho finite makes its
+    delta(S) all of B.
     """
     if _rho_is_infinite(D):
         return math.inf
     n = D.size
-    table = subset_neighborhoods(D, subset_bound)
-    # ceil(u / r) is -(-u // r), with -|U_S| = |delta(S)| - n and r = n - |S|;
-    # the sizes stop before S = A.  The maps keep the scan in C.
-    neg_u = map(sub, map(int.bit_count, table), repeat(n))
-    rest = map(sub, repeat(n), map(int.bit_count, range(len(table) - 1)))
-    return max(1, -min(map(floordiv, neg_u, rest)))
+    sizes, degrees = subset_planes(D, subset_bound)
+    complement = _complement_table(n)
+    outside = int.from_bytes(degrees.translate(complement), "little")
+    del degrees
+    rest = sizes.translate(complement)
+    del sizes
+    return _least_clear_k(outside, rest, n)
 
 
 def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
     """Left partition number: max of ceil(|S| / |delta(S)|) over nonempty S.
 
-    Always finite since delta(S) is nonempty for nonempty S.
+    Always finite since delta(S) is nonempty for nonempty S.  Since
+    ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at which
+    no nonempty S has |S| > k|delta(S)|, found by bisection over the subset
+    planes.
     """
-    table = subset_neighborhoods(D, subset_bound)
-    # ceil(|S| / |delta(S)|) is -(-|S| // |delta(S)|) over the nonempty S
-    neg_sizes = map(neg, map(int.bit_count, range(1, len(table))))
-    degrees = map(int.bit_count, islice(table, 1, None))
-    try:
-        return max(1, -min(map(floordiv, neg_sizes, degrees)))
-    except ZeroDivisionError:
-        raise InternalInconsistencyError("nonempty S with empty neighborhood") from None
+    sizes, degrees = subset_planes(D, subset_bound)
+    # delta(S) is the OR of the rows of S, so it is empty for some nonempty
+    # S exactly when a row is 0; otherwise k = n clears every S
+    if 0 in D.rows:
+        raise InternalInconsistencyError("nonempty S with empty neighborhood")
+    inside = int.from_bytes(sizes, "little")
+    del sizes
+    return _least_clear_k(inside, degrees, D.size)
 
 
 def _split_classes(D: Deltoid, holders, k: int, side: str) -> AdmissiblePartition:

@@ -5,14 +5,19 @@ recompute neighborhoods with plain sets and search matchings by trying
 injections, so agreement with the library is a real cross-check.
 """
 
-from itertools import combinations, permutations, product
+import math
+from array import array
+from itertools import combinations, islice, permutations, product, repeat
+from operator import floordiv, neg, sub
 
 from deltoids import (
     Deltoid,
     GroupSet,
     GroupSpec,
     InfiniteSubgroupError,
+    InternalInconsistencyError,
     InvalidParametersError,
+    ResourceLimitError,
     UnsupportedInfiniteGroupError,
     build_deltoid,
     canonicalize,
@@ -24,6 +29,8 @@ from deltoids import (
     invert,
 )
 from deltoids.groups import DEFAULT_ORDER_BOUND
+from deltoids.matching import DEFAULT_SUBSET_BOUND
+from deltoids.partition import _rho_is_infinite
 
 Z3 = GroupSpec((3,))
 Z6 = GroupSpec((6,))
@@ -139,6 +146,68 @@ def reference_assign(masks, k: int) -> tuple[list[list[int]], int]:
         else:
             unplaced += 1
     return holders, unplaced
+
+
+def reference_subset_neighborhoods(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> array:
+    """Neighborhoods of all 2^|A| subsets: table[m] is the column mask of delta(S).
+
+    S is the subset of A at the row positions set in m.  The table is built
+    by doubling in place: once rows 0..i-1 are in, the subsets that also
+    hold row i are the table so far ORed with that row.  Refuses instances
+    above subset_bound.
+
+    The 8-byte mask table that matching.subset_planes replaced, kept with
+    the three scans below as the reference for the byte-plane sweeps.
+    """
+    n = D.size
+    if n > subset_bound:
+        raise ResourceLimitError(f"|A| = {n} exceeds subset sweep bound {subset_bound}")
+    table = array("Q", [0])
+    for row in D.rows:
+        table.extend(map(row.__or__, islice(table, len(table))))
+    return table
+
+
+def reference_deficiency_by_subsets(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
+    """Definitional oracle: max over all S of |S| - |delta(S)|.
+
+    One scan of the subset table; refuses instances above subset_bound.
+    """
+    table = reference_subset_neighborhoods(D, subset_bound)
+    sizes = map(int.bit_count, range(len(table)))
+    return max(map(sub, sizes, map(int.bit_count, table)))
+
+
+def reference_rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
+    """Right partition number by the definitional subset sweep.
+
+    math.inf when some element of B stabilizes A; otherwise the maximum of
+    ceil(|U_S| / (|A| - |S|)) over proper subsets S, which is at least 1.
+    """
+    if _rho_is_infinite(D):
+        return math.inf
+    n = D.size
+    table = reference_subset_neighborhoods(D, subset_bound)
+    # ceil(u / r) is -(-u // r), with -|U_S| = |delta(S)| - n and r = n - |S|;
+    # the sizes stop before S = A.  The maps keep the scan in C.
+    neg_u = map(sub, map(int.bit_count, table), repeat(n))
+    rest = map(sub, repeat(n), map(int.bit_count, range(len(table) - 1)))
+    return max(1, -min(map(floordiv, neg_u, rest)))
+
+
+def reference_lambda(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
+    """Left partition number: max of ceil(|S| / |delta(S)|) over nonempty S.
+
+    Always finite since delta(S) is nonempty for nonempty S.
+    """
+    table = reference_subset_neighborhoods(D, subset_bound)
+    # ceil(|S| / |delta(S)|) is -(-|S| // |delta(S)|) over the nonempty S
+    neg_sizes = map(neg, map(int.bit_count, range(1, len(table))))
+    degrees = map(int.bit_count, islice(table, 1, None))
+    try:
+        return max(1, -min(map(floordiv, neg_sizes, degrees)))
+    except ZeroDivisionError:
+        raise InternalInconsistencyError("nonempty S with empty neighborhood") from None
 
 
 def reference_generate_subgroup(group: GroupSpec, generators) -> GroupSet:

@@ -19,7 +19,7 @@ from deltoids import (
     partial_matching_with_defect,
     verify_matching,
 )
-from deltoids.matching import assign, subset_neighborhoods
+from deltoids.matching import assign, subset_planes
 from helpers import (
     Z2xZ,
     Z2xZ4,
@@ -182,19 +182,35 @@ def test_deficiency_by_subsets_bound():
         deficiency_by_subsets(golden_deltoid(), subset_bound=7)
 
 
-def test_subset_neighborhoods_against_or_of_rows():
+def test_subset_planes_against_or_of_rows():
     rng = random.Random(11)
     for n in range(1, 11):
         for _ in range(5):
             rows = [rng.getrandbits(n) for _ in range(n)]
-            table = subset_neighborhoods(rows_deltoid(rows))
-            assert len(table) == 1 << n
+            sizes, degrees = subset_planes(rows_deltoid(rows))
+            assert len(sizes) == len(degrees) == 1 << n
             for m in range(1 << n):
                 expected = 0
                 for i in range(n):
                     if m >> i & 1:
                         expected |= rows[i]
-                assert table[m] == expected
+                assert degrees[m] == expected.bit_count()
+                assert sizes[m] == m.bit_count()
+
+
+def test_subset_planes_across_blocks():
+    # the degree plane is built 2^16 subsets at a time
+    rng = random.Random(12)
+    for n in (16, 17, 18):
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        sizes, degrees = subset_planes(rows_deltoid(rows))
+        assert len(sizes) == len(degrees) == 1 << n
+        table = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            table[m] = table[m ^ low] | rows[low.bit_length() - 1]
+        assert degrees == bytes(mask.bit_count() for mask in table)
+        assert sizes == bytes(m.bit_count() for m in range(1 << n))
 
 
 def test_oracle_agreement_exhaustive_and_brute():
