@@ -10,10 +10,10 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, product
 from math import gcd, lcm, prod
-from operator import and_, attrgetter, index, or_
+from operator import add, and_, attrgetter, index, itemgetter, neg, or_
 
 from .errors import (
     GroupMismatchError,
@@ -262,19 +262,17 @@ class _Masks:
     is longer than the torsion order.  Callers check element lengths.
     """
 
-    __slots__ = ("torsion", "axes", "full", "width")
+    __slots__ = ("torsion", "axes", "size")
 
     def __init__(self, group: GroupSpec):
         self.torsion = group.torsion
-        size = prod(self.torsion)
-        self.full = (1 << size) - 1
-        self.width = f"0{size}b"
+        self.size = size = prod(self.torsion)
         # per axis: modulus n, stride s, and a mask with bit 0 of every
         # block of n * s bits set
         axes = []
         stride = 1
         for n in reversed(self.torsion):
-            axes.append((n, stride, self.full // ((1 << n * stride) - 1)))
+            axes.append((n, stride, ((1 << size) - 1) // ((1 << n * stride) - 1)))
             stride *= n
         self.axes = tuple(reversed(axes))
 
@@ -308,10 +306,54 @@ class _Masks:
                 mask = low << c * s | (mask ^ low) >> cut
         return mask
 
-    def members(self, mask: int, universe) -> tuple:
-        """The items of universe (indexed by code) whose bits are set."""
-        bits = format(mask, self.width)[::-1].encode().translate(_BIT_VALUES)
-        return tuple(compress(universe, bits))
+    def members(self, mask: int, items, codes=None) -> tuple:
+        """The items whose codes are set in mask; codes[i] (default i) codes items[i]."""
+        bits = format(mask, f"0{self.size}b")[::-1].encode().translate(_BIT_VALUES)
+        return tuple(compress(items, bits if codes is None else map(bits.__getitem__, codes)))
+
+
+def sums_in(group: GroupSpec, X, Y, E) -> list[int]:
+    """For each x in X, the bitmask over Y of the y with x + y in E.
+
+    Bit j of the i-th mask is set iff X[i] + Y[j] lies in E.  Torsion
+    coordinates may be unreduced; a wrong length raises InvalidElementError.
+    The library's only choice between int masks and set lookups is made here.
+    """
+    X, Y, E = tuple(X), tuple(Y), tuple(E)
+    for part in (X, Y, E):
+        _check_dimension(group, part)
+    if not Y:
+        return [0] * len(X)
+    k = len(group.torsion)
+    size = prod(group.torsion)
+    offsets: dict[tuple[int, ...], int] = {}
+    for y in Y:
+        offsets.setdefault(tuple(y[k:]), len(offsets) * size)
+    if len(offsets) * size > _MASK_BITS_PER_ELEMENT * len(Y):
+        # a mask row would be far longer than the |Y| lookups it replaces
+        members = {canonicalize(group, e) for e in E}
+        return [
+            sum(1 << j for j, y in enumerate(Y) if compose(group, x, y) in members) for x in X
+        ]
+    # y lies in E - x iff its code is set in the mask of E's free part
+    # x_free + y_free, translated by -x_torsion.  Each row is one string of
+    # those masks for Y's free parts side by side, size bits each; one
+    # itemgetter picks y_{n-1} .. y_0 out of it as binary digits (a single
+    # character when |Y| = 1, which join passes through).
+    masks = _Masks(group)
+    e_masks = masks.masks(E)
+    pick = itemgetter(*[offsets[tuple(y[k:])] + size - 1 - masks.code(y) for y in reversed(Y)])
+    zeros, width = "0" * size, f"0{size}b"
+    rows = []
+    for x in X:
+        shift = tuple(map(neg, x[:k]))
+        free = x[k:]
+        parts = []
+        for f in offsets:
+            mask = e_masks.get(tuple(map(add, free, f)))
+            parts.append(format(masks.translate(mask, shift), width) if mask else zeros)
+        rows.append(int("".join(pick("".join(parts))), 2))
+    return rows
 
 
 def _saturate(masks: _Masks, mask: int, x: Element, combine) -> int:
@@ -325,28 +367,34 @@ def _saturate(masks: _Masks, mask: int, x: Element, combine) -> int:
     return out
 
 
-def _search_subgroups(group: GroupSpec, order_bound: int, generators=None, within=None):
-    """Subgroups generated by `generators` (default: every element) that
-    have a full coset in the finite set `within` (default: the group).
-
-    From the trivial subgroup, joins one generator per coset of the
-    subgroup being grown.  A subgroup H carries the mask of the x with
-    x + H inside `within`, ANDed from the mask of the subgroup it grew
-    from; at 0 H is dropped ungrown, since no supergroup has a full coset
-    either.  Returns the kernel and the (H, full-coset) mask pairs kept,
-    in canonical order: size, then elements.
-    """
+def _check_searchable(group: GroupSpec, order_bound: int) -> None:
     if not group.is_finite:
         raise UnsupportedInfiniteGroupError("subgroup formulas need a finite group")
     if group.order > order_bound:
         raise ResourceLimitError(
             f"group order {group.order} exceeds enumeration bound {order_bound}"
         )
+
+
+def _search_subgroups(group: GroupSpec, order_bound: int, generators, within):
+    """The subgroups H generated by elements of `generators` that have a
+    full coset in the finite set `within`.
+
+    From the trivial subgroup, joins one generator per coset of the
+    subgroup being grown.  A subgroup H carries the mask of the x with
+    x + H inside `within`, ANDed from the mask of the subgroup it grew
+    from; at 0 H is dropped ungrown, since no supergroup has a full coset
+    either.  Returns (H n generators, the x in within with x + H inside
+    within) as element tuples, per kept H in canonical order: size, then
+    elements.
+    """
+    _check_searchable(group, order_bound)
     masks = _Masks(group)
-    if generators is None:
-        generators = elements_of(group)
-    gens = [(masks.code(x), x) for x in generators]
-    found = {1: masks.full if within is None else sum(1 << masks.code(x) for x in within)}
+    generators, within = tuple(generators), tuple(within)
+    gen_codes = [masks.code(x) for x in generators]
+    within_codes = [masks.code(x) for x in within]
+    gens = list(zip(gen_codes, generators))
+    found = {1: sum(1 << code for code in within_codes)}
     stack = [1]  # the trivial subgroup: the identity has code 0
     while stack:
         base = stack.pop()
@@ -362,8 +410,10 @@ def _search_subgroups(group: GroupSpec, order_bound: int, generators=None, withi
                 if found[joined]:
                     stack.append(joined)
     codes = range(group.order)
-    return masks, sorted(((h, full) for h, full in found.items() if full),
-                         key=lambda item: (item[0].bit_count(), masks.members(item[0], codes)))
+    kept = sorted(((h, full) for h, full in found.items() if full),
+                  key=lambda item: (item[0].bit_count(), masks.members(item[0], codes)))
+    return [(masks.members(h, generators, gen_codes), masks.members(full, within, within_codes))
+            for h, full in kept]
 
 
 def enumerate_subgroups(
@@ -375,41 +425,41 @@ def enumerate_subgroups(
     the join of a chain of its elements from the trivial one, so none is
     missed.  Sorted by size, then lexicographically by element tuple.
     """
-    masks, found = _search_subgroups(group, order_bound)
+    _check_searchable(group, order_bound)  # before the elements are listed
     everything = elements_of(group)
-    return [GroupSet(group, masks.members(h, everything)) for h, _ in found]
+    return [GroupSet(group, h)
+            for h, _ in _search_subgroups(group, order_bound, everything, everything)]
+
+
+def first_subgroup_of_order(group: GroupSpec, m: int) -> GroupSet:
+    """The canonically first subgroup of order m of a finite group; m divides |G|.
+
+    Greedy in code order: a join whose order divides m lies in an order-m
+    subgroup (G/H has subgroups of all orders dividing its own), and those
+    holding x sort first, since they all agree with H below x.  A rejected
+    x stays rejected as H grows; none joins at |H| = m.
+    """
+    masks, everything, h = _Masks(group), elements_of(group), 1
+    for code, x in enumerate(everything):
+        if h.bit_count() < m and not (h >> code & 1 or m % order(group, x)):
+            joined = _saturate(masks, h, x, or_)
+            h = joined if m % joined.bit_count() == 0 else h
+    return GroupSet(group, masks.members(h, everything))
 
 
 def full_cosets_within(group: GroupSpec, elements, sub: GroupSet) -> tuple[Element, ...]:
     """The union of the H-cosets fully contained in the given finite set.
 
-    Per free part, the elements x with x + H inside the set are the AND of
-    the set's translates by -h over h in H, which are its translates by h
-    since H = -H; the result size is always a multiple of |H|.  Torsion
+    The x with x + H inside the set are the AND over h in H of the sums_in
+    rows of h; the result size is always a multiple of |H|.  Torsion
     coordinates may be unreduced and are returned as given.  Works in
     infinite ambient groups since H is finite and only the finite input set
     is scanned.
     """
     elements = tuple(elements)
-    _check_dimension(group, elements)
-    _check_dimension(group, sub.elements)
-    if prod(group.torsion) > _MASK_BITS_PER_ELEMENT * len(elements):
-        # a mask would be far larger than the set: test each x + H directly
-        members = {canonicalize(group, x) for x in elements}
-        return tuple(sorted(
-            x for x in elements if all(compose(group, x, h) in members for h in sub.elements)
-        ))
-    masks = _Masks(group)
-    k = len(group.torsion)
-    full: dict[tuple[int, ...], int] = {}
-    for key, mask in masks.masks(elements).items():
-        kept = mask
-        for h in sub.elements:
-            kept &= masks.translate(mask, h)
-            if not kept:
-                break
-        full[key] = kept
-    return tuple(sorted(x for x in elements if full[tuple(x[k:])] >> masks.code(x) & 1))
+    rows = sums_in(group, sub.elements, elements, elements)
+    inside = reduce(and_, rows, (1 << len(elements)) - 1)
+    return tuple(sorted(x for j, x in enumerate(elements) if inside >> j & 1))
 
 
 def cosets_of(group: GroupSpec, sub: GroupSet) -> list[tuple[Element, ...]]:

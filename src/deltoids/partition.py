@@ -62,23 +62,37 @@ def _rho_is_infinite(D: Deltoid) -> bool:
     return mask != D.full_mask
 
 
-def _least_clear_k(fixed: int, plane, n: int) -> int:
-    # The least k in [1, n] at which no lane of fixed + T_k[plane] reaches
-    # 128, where T_k[y] = 127 - min(k * y, n).  A lane of fixed holds some
-    # x <= n, so it reaches 128 exactly when x > k * y; lanes stay below
-    # 128 + n, so no sum carries into the next lane.  The caller makes
-    # k = n clear, and clearing is monotone in k.
-    pad = bytes([127 - n])
-    lo, hi = 1, n
+def _least_k(clear, n: int) -> int:
+    # The least k in [1, n] with clear(k), for clear monotone in k and true
+    # at k = n: double k from 1 until it clears, then bisect the last gap.
+    # Small answers, the common case, take few probes.
+    k = 1
+    while k < n and not clear(k):
+        k *= 2
+    lo, hi = k // 2 + 1, min(k, n)
     while lo < hi:
-        k = (lo + hi) // 2
+        mid = (lo + hi) // 2
+        if clear(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _plane_probe(fixed: int, plane, n: int):
+    # clear(k): no lane of fixed + T_k[plane] reaches 128, where
+    # T_k[y] = 127 - min(k * y, n).  A lane of fixed holds some x <= n, so
+    # it reaches 128 exactly when x > k * y; lanes stay below 128 + n, so
+    # no sum carries into the next lane.  The caller makes k = n clear,
+    # and clearing is monotone in k.
+    pad = bytes([127 - n])
+
+    def clear(k: int) -> bool:
         table = bytes(range(127, 126 - n, -k)).ljust(256, pad)
         lanes = fixed + int.from_bytes(plane.translate(table), "little")
-        if lanes.to_bytes(len(plane), "little").isascii():
-            hi = k
-        else:
-            lo = k + 1
-    return lo
+        return lanes.to_bytes(len(plane), "little").isascii()
+
+    return clear
 
 
 def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
@@ -87,8 +101,8 @@ def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     math.inf when some element of B stabilizes A; otherwise the maximum of
     ceil(|U_S| / (|A| - |S|)) over proper subsets S, which is at least 1.
     Since ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at
-    which no proper S has n - |delta(S)| > k(n - |S|), found by bisection
-    over the subset planes.  S = A never counts: rho finite makes its
+    which no proper S has n - |delta(S)| > k(n - |S|), found by a doubling
+    search over the subset planes.  S = A never counts: rho finite makes its
     delta(S) all of B.
     """
     if _rho_is_infinite(D):
@@ -100,7 +114,7 @@ def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     del degrees
     rest = sizes.translate(complement)
     del sizes
-    return _least_clear_k(outside, rest, n)
+    return _least_k(_plane_probe(outside, rest, n), n)
 
 
 def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
@@ -108,8 +122,8 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
 
     Always finite since delta(S) is nonempty for nonempty S.  Since
     ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at which
-    no nonempty S has |S| > k|delta(S)|, found by bisection over the subset
-    planes.
+    no nonempty S has |S| > k|delta(S)|, found by a doubling search over
+    the subset planes.
     """
     sizes, degrees = subset_planes(D, subset_bound)
     # delta(S) is the OR of the rows of S, so it is empty for some nonempty
@@ -118,7 +132,7 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
         raise InternalInconsistencyError("nonempty S with empty neighborhood")
     inside = int.from_bytes(sizes, "little")
     del sizes
-    return _least_clear_k(inside, degrees, D.size)
+    return _least_k(_plane_probe(inside, degrees, D.size), D.size)
 
 
 def _split_classes(D: Deltoid, holders, k: int, side: str) -> AdmissiblePartition:
@@ -197,34 +211,17 @@ def validate_partition(D: Deltoid, p: AdmissiblePartition) -> Verdict:
     return Verdict(True)
 
 
-def _least_k(masks) -> int:
-    # Feasibility is monotone in k and k = len(masks) always suffices here,
-    # so double k from 1 until every source is placed, then bisect.  The
-    # probes read only the unplaced count, so they search with lookahead.
-    n = len(masks)
-    k = 1
-    while k < n and assign(masks, k, lookahead=True)[1]:
-        k *= 2
-    lo, hi = k // 2 + 1, min(k, n)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if assign(masks, mid, lookahead=True)[1]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def lambda_by_feasibility(D: Deltoid) -> int:
     """Exact lambda as the least feasible partition size; no sweep bound."""
-    return _least_k(D.rows)
+    # a probe reads only the unplaced count, so it searches with lookahead
+    return _least_k(lambda k: not assign(D.rows, k, lookahead=True)[1], D.size)
 
 
 def rho_by_feasibility(D: Deltoid) -> int:
     """Exact finite rho as the least feasible size; InfiniteRhoError when infinite."""
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
-    return _least_k(D.columns)
+    return _least_k(lambda k: not assign(D.columns, k, lookahead=True)[1], D.size)
 
 
 def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:

@@ -11,8 +11,6 @@ the one subset sweep (matching.subset_planes) read.
 from __future__ import annotations
 
 from functools import cached_property
-from math import prod
-from operator import add, itemgetter, neg
 
 from .errors import (
     EmptySetError,
@@ -24,13 +22,11 @@ from .errors import (
 from .groups import (
     Element,
     GroupSet,
-    _MASK_BITS_PER_ELEMENT,
-    _check_dimension,
-    _Masks,
     _Value,
     canonicalize,
     compose,
     order,
+    sums_in,
 )
 
 
@@ -133,43 +129,9 @@ def build_deltoid(A: GroupSet, B: GroupSet) -> Deltoid:
         raise SizeMismatchError(f"|A| = {len(A.elements)} but |B| = {len(B.elements)}")
     if A.group.identity in B:
         raise IdentityInBError("the identity element may not appear in B")
-    group = A.group
-    _check_dimension(group, A.elements)
-    _check_dimension(group, B.elements)
-    k = len(group.torsion)
-    size = prod(group.torsion)
-    offsets: dict[tuple[int, ...], int] = {}
-    for b in B.elements:
-        offsets.setdefault(b[k:], len(offsets) * size)
-    if len(offsets) * size > _MASK_BITS_PER_ELEMENT * len(B.elements):
-        # a mask row would be far longer than the n lookups it replaces
-        members = A.member_set
-        rows = tuple(
-            sum(1 << j for j, b in enumerate(B.elements) if compose(group, a, b) not in members)
-            for a in A.elements
-        )
-        return Deltoid(A, B, rows)
-    # b lies in A - a iff its code is set in the mask of A's free part
-    # a_free + b_free, translated by -a_torsion.  Each row is one string of
-    # the complemented masks of B's free parts side by side, N = size bits
-    # each; one itemgetter picks b_{n-1} .. b_0 out of it as binary digits.
-    masks = _Masks(group)
-    a_masks = masks.masks(A.elements)
-    pick = itemgetter(
-        *[offsets[b[k:]] + size - 1 - masks.code(b) for b in reversed(B.elements)]
-    )
-    ones = "1" * size
-    full, width = masks.full, masks.width
-    rows = []
-    for a in A.elements:
-        shift = tuple(map(neg, a[:k]))
-        free = a[k:]
-        parts = []
-        for f in offsets:
-            mask = a_masks.get(tuple(map(add, free, f)))
-            parts.append(format(full ^ masks.translate(mask, shift), width) if mask else ones)
-        rows.append(int("".join(pick("".join(parts))), 2))
-    return Deltoid(A, B, tuple(rows))
+    full = (1 << len(B.elements)) - 1
+    rows = sums_in(A.group, A.elements, B.elements, A.elements)
+    return Deltoid(A, B, tuple(full ^ row for row in rows))
 
 
 def delta_mask(D: Deltoid, S: GroupSet) -> int:

@@ -9,10 +9,7 @@ pairs of prescribed size whose deficiency exceeds a prescribed level.
 
 from __future__ import annotations
 
-from operator import or_
-
 from .errors import (
-    InfiniteSubgroupError,
     InternalConstructorError,
     InvalidParametersError,
     NoConstructionError,
@@ -22,15 +19,12 @@ from .groups import (
     DEFAULT_ORDER_BOUND,
     GroupSet,
     GroupSpec,
-    _Masks,
-    _saturate,
     _Value,
     cosets_of,
     elements_of,
     enumerate_subgroups,  # noqa: F401  unused here; perfbench/replay.py wraps it by name
-    full_cosets_within,
-    generate_subgroup,
-    order,
+    first_subgroup_of_order,
+    sums_in,
 )
 from .matching import Verdict
 from .sets import Deltoid
@@ -78,6 +72,13 @@ def verify_witness(D: Deltoid, w: ObstructionWitness) -> Verdict:
     """Check every witness invariant; a passing witness proves deficiency > level.
 
     No matching is run: the verdict rests only on the decomposition shape.
+    The work is bounded by |S| * |R|, not by the order of <R>:
+    <R> is infinite iff some r in R has a nonzero free coordinate, and a
+    finite S is a union of <R>-cosets iff S + r lies in S for every r in R.
+    Only if: s + r lies in the coset s + <R>.  If: translation by r maps
+    the finite S injectively into S, hence onto S, so S - r = S as well;
+    S is then closed under adding and subtracting each r in R, hence under
+    <R>, and S is the union of the cosets s + <R> over s in S.
     """
     group = D.A.group
     for name, part in (("S", w.S), ("R", w.R), ("Y", w.Y), ("Z", w.Z)):
@@ -97,11 +98,11 @@ def verify_witness(D: Deltoid, w: ObstructionWitness) -> Verdict:
         return Verdict(False, "R is empty")
     if not w.S.elements:
         return Verdict(False, "S is empty")
-    try:
-        sub = generate_subgroup(group, w.R.elements)
-    except InfiniteSubgroupError:
+    k = len(group.torsion)
+    if any(any(r[k:]) for r in w.R.elements):
         return Verdict(False, "R generates an infinite subgroup")
-    if full_cosets_within(group, w.S.elements, sub) != w.S.elements:
+    full = (1 << len(w.S.elements)) - 1
+    if any(row != full for row in sums_in(group, w.R.elements, w.S.elements, w.S.elements)):
         return Verdict(False, "S is not a union of cosets of the subgroup R generates")
     if not len(w.Y.elements) < len(w.R.elements) - w.level:
         return Verdict(
@@ -137,15 +138,7 @@ def existence_predicate(
     m = next((m for m in orders if m <= n and all((n + j) % m for j in range(1, level + 2))), 0)
     if not m:
         return None
-    # Greedy in code order: a join whose order divides m lies in an order-m subgroup (G/H has
-    # subgroups of all orders dividing its own), and those holding x sort first, since they
-    # all agree with H below x.  A rejected x stays rejected as H grows; none joins at |H| = m.
-    masks, everything, h = _Masks(group), elements_of(group), 1
-    for code, x in enumerate(everything):
-        if h.bit_count() < m and not (h >> code & 1 or m % order(group, x)):
-            joined = _saturate(masks, h, x, or_)
-            h = joined if m % joined.bit_count() == 0 else h
-    return GroupSet(group, masks.members(h, everything))
+    return first_subgroup_of_order(group, m)
 
 
 def construct_deficient_pair(

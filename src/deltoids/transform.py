@@ -9,8 +9,6 @@ enumeration in the test suite.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .errors import GroupMismatchError, InvalidInputError, InvalidWitnessError
 from .groups import (
     DEFAULT_ORDER_BOUND,
@@ -22,6 +20,7 @@ from .groups import (
     compose,
     enumerate_subgroups,  # noqa: F401  unused here; perfbench/replay.py wraps it by name
     invert,
+    sums_in,
 )
 from .matching import Verdict
 from .sets import Deltoid
@@ -44,7 +43,7 @@ class StabilizerPair(_Value):
         b_or_identity = D.B.union(GroupSet.of(group, [group.identity]))
         if not self.R.issubset(b_or_identity):
             return Verdict(False, "R is not a subset of B plus identity")
-        escape = _escape(self.S, self.R, self.S.member_set)
+        escape = _escape(self.S, self.R, self.S.elements)
         if escape is not None:
             return Verdict(False, "{}*{} leaves S, so S*R != S".format(*escape))
         expected = len(self.S.elements) - len(D.B.difference(self.R).elements)
@@ -84,14 +83,14 @@ def e_transform_step(
     return s1, r1
 
 
-def _escape(S: GroupSet, R: GroupSet, members) -> tuple[Element, Element] | None:
-    # First (e, r) in canonical order with e*r outside members; None when
-    # S*R lies inside.  With members = S, this is an e-transform witness.
-    group = S.group
-    for e in S.elements:
-        for r in R.elements:
-            if compose(group, e, r) not in members:
-                return e, r
+def _escape(S: GroupSet, R: GroupSet, E) -> tuple[Element, Element] | None:
+    # First (e, r) in canonical order with e*r outside the elements E; None
+    # when S*R lies inside.  With E = S, this is an e-transform witness.
+    full = (1 << len(R.elements)) - 1
+    for e, row in zip(S.elements, sums_in(S.group, S.elements, R.elements, E)):
+        if row != full:
+            # the lowest clear bit of row
+            return e, R.elements[((row + 1) & ~row).bit_length() - 1]
     return None
 
 
@@ -110,11 +109,11 @@ def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet
         raise InvalidInputError("S and R must be nonempty")
     if group.identity not in R:
         raise InvalidInputError("identity must be in R")
-    escape = _escape(S, R, A.member_set)
+    escape = _escape(S, R, A.elements)
     if escape is not None:
         raise InvalidInputError("S*R leaves A at {}*{}".format(*escape))
     while True:
-        witness = _escape(S, R, S.member_set)
+        witness = _escape(S, R, S.elements)
         if witness is None:
             return S, R
         S, R = e_transform_step(S, R, *witness)
@@ -130,12 +129,9 @@ def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND):
     most what the trivial subgroup does.
     """
     group = D.A.group
-    masks, found = _search_subgroups(group, order_bound, D.B.elements, D.A.elements)
-    a_codes = [masks.code(a) for a in D.A.elements]
-    b_codes = [masks.code(b) for b in D.B.elements]
-    for h, full in found[1:]:  # found[0] is the trivial subgroup, full = A
-        yield (GroupSet(group, tuple(compress(D.A.elements, (full >> c & 1 for c in a_codes)))),
-               GroupSet(group, tuple(compress(D.B.elements, (h >> c & 1 for c in b_codes)))))
+    terms = _search_subgroups(group, order_bound, D.B.elements, D.A.elements)
+    for inside, full in terms[1:]:  # terms[0] is the trivial subgroup, full = A
+        yield GroupSet(group, full), GroupSet(group, inside)
 
 
 def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:

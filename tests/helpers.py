@@ -285,6 +285,31 @@ def reference_existence_predicate(group, n, level, lattice):
     return None
 
 
+def reference_sums_in(group, X, Y, E):
+    """For each x in X, the bitmask over Y of the y with x + y in E.
+
+    One compose and one set lookup per pair, kept as the reference for
+    groups.sums_in on both its mask and its lookup path.
+    """
+    members = {canonicalize(group, e) for e in E}
+    return [sum(1 << j for j, y in enumerate(Y) if compose(group, x, y) in members) for x in X]
+
+
+def reference_escape(S: GroupSet, R: GroupSet, members) -> tuple | None:
+    """The double loop that transform._escape ran before it read sums_in rows.
+
+    Kept verbatim (members is a set) as the reference for its first (e, r).
+    """
+    # First (e, r) in canonical order with e*r outside members; None when
+    # S*R lies inside.  With members = S, this is an e-transform witness.
+    group = S.group
+    for e in S.elements:
+        for r in R.elements:
+            if compose(group, e, r) not in members:
+                return e, r
+    return None
+
+
 def universe_for(group, span=3):
     """All candidate elements; free coordinates restricted to [-span, span]."""
     if group.is_finite:

@@ -30,7 +30,8 @@ from deltoids import (
     order,
     parse_group,
 )
-from deltoids.groups import _Masks
+from deltoids import groups
+from deltoids.groups import _Masks, sums_in
 from helpers import (
     GOLDEN_A,
     TRIVIAL,
@@ -43,6 +44,7 @@ from helpers import (
     cyc,
     is_subgroup,
     reference_generate_subgroup,
+    reference_sums_in,
 )
 
 
@@ -271,6 +273,81 @@ def test_full_cosets_within_wrong_length_element():
         full_cosets_within(Z12, [(0,), (6, 1)], H)
     with pytest.raises(InvalidElementError):
         full_cosets_within(Z2xZ, [(0,)], generate_subgroup(Z2xZ, [(1, 0)]))
+
+
+# bits per element at which sums_in switches path: 0 forces the lookup
+# path, 10^9 the mask path
+KERNEL_PATHS = pytest.mark.parametrize("bits", [0, 10**9], ids=["lookup", "mask"])
+
+
+def _kernel_cases():
+    rng = random.Random(14)
+
+    def pick(group, size):
+        # torsion coordinates off by multiples of n_i; free ones in [-2, 2]
+        return [tuple([rng.randrange(n) + n * rng.randint(-2, 2) for n in group.torsion]
+                      + [rng.randint(-2, 2) for _ in range(group.free_rank)])
+                for _ in range(size)]
+
+    for group in (Z12, Z2xZ4, parse_group("Z2xZ2xZ2"), Z2xZ, parse_group("Z6xZ"),
+                  GroupSpec((3,), 2), GroupSpec((), 1), TRIVIAL):
+        for _ in range(40):
+            sizes = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 9)
+            yield (group, *(pick(group, size) for size in sizes))
+        # |Y| = 1, where the digit picker returns one character, and empty Y
+        yield group, pick(group, 4), pick(group, 1), pick(group, 6)
+        yield group, pick(group, 4), [], pick(group, 6)
+
+
+@KERNEL_PATHS
+def test_sums_in_matches_compose_oracle(monkeypatch, bits):
+    monkeypatch.setattr(groups, "_MASK_BITS_PER_ELEMENT", bits)
+    for group, X, Y, E in _kernel_cases():
+        assert sums_in(group, X, Y, E) == reference_sums_in(group, X, Y, E), (group, X, Y, E)
+    # several free parts in Y, each next to a free part of E
+    group = GroupSpec((3,), 2)
+    Y = [(0, 0, 0), (1, 1, 0), (2, 0, 1), (5, -1, -1)]
+    E = [(1, 0, 0), (2, 1, 0), (-1, 0, 1), (2, -1, -1)]
+    X = [(1, 0, 0), (-2, 0, 0), (0, 0, 0)]
+    assert sums_in(group, X, Y, E) == reference_sums_in(group, X, Y, E) == [0b0011, 0b0011, 0b1100]
+
+
+@KERNEL_PATHS
+def test_sums_in_huge_prime_order(monkeypatch, bits):
+    # Z1000003 with n = 10, sums wrapping past the modulus
+    monkeypatch.setattr(groups, "_MASK_BITS_PER_ELEMENT", bits)
+    p = 1_000_003
+    group = GroupSpec((p,))
+    rng = random.Random(10)
+    window = list(range(-12, 12))
+    for _ in range(5):
+        X, Y, E = ([(rng.choice(window) % p,) for _ in range(10)] for _ in range(3))
+        assert sums_in(group, X, Y, E) == reference_sums_in(group, X, Y, E)
+
+
+def test_sums_in_picks_its_path_by_bits_per_element(monkeypatch):
+    def refused(*args):
+        raise AssertionError("wrong path")
+
+    rng = random.Random(3)
+    small = [(rng.randrange(12),) for _ in range(8)]
+    huge = [(rng.randrange(1_000_003),) for _ in range(10)]
+    with monkeypatch.context() as patched:
+        patched.setattr(groups, "compose", refused)  # only the lookup path composes
+        assert sums_in(Z12, small, small, small) == reference_sums_in(Z12, small, small, small)
+    big = GroupSpec((1_000_003,))
+    with monkeypatch.context() as patched:
+        patched.setattr(groups, "_Masks", refused)  # only the mask path builds masks
+        assert sums_in(big, huge, huge, huge) == reference_sums_in(big, huge, huge, huge)
+
+
+def test_sums_in_checks_element_lengths():
+    for X, Y, E in (([(1, 2)], [(1,)], [(1,)]), ([(1,)], [(1, 2)], [(1,)]),
+                    ([(1,)], [(1,)], [(1, 2)]), ([], [], [()])):
+        with pytest.raises(InvalidElementError):
+            sums_in(Z12, X, Y, E)
+    assert sums_in(Z12, [], [(1,)], []) == []
+    assert sums_in(Z12, [(1,)], [(1,)], []) == [0]
 
 
 def _mask_of(masks, elements):

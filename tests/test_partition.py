@@ -30,6 +30,7 @@ from deltoids import (
     u_set,
     validate_partition,
 )
+from deltoids.partition import _least_k
 from helpers import (
     Z6,
     left_inequality_holds,
@@ -43,6 +44,7 @@ from helpers import (
     golden_deltoid,
     gset,
     random_witnessed_instance,
+    rows_deltoid,
     stabilizer_pairs,
     subsets_of,
 )
@@ -96,6 +98,32 @@ def test_lambda_singleton_and_matchable():
     assert lambda_(D) == 1
     assert deficiency(D) == 0
     assert partition_left(D, 1) is not None
+
+
+def test_least_k_finds_every_threshold():
+    for n in range(1, 41):
+        for answer in range(1, n + 1):
+            probes = []
+
+            def clear(k):
+                assert 1 <= k <= n
+                probes.append(k)
+                return k >= answer
+
+            assert _least_k(clear, n) == answer
+            # the common answer 1 costs at most one probe
+            assert answer > 1 or len(probes) <= 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_partition_numbers_when_one_target_takes_everything(n):
+    # every row is the one bit of b_0, so lambda = n: the doubling search's
+    # worst case, capped at n when n is not a power of two; the transpose
+    # (a_0 adjacent to every b, the other rows empty) has rho = n
+    D = rows_deltoid([1] * n)
+    assert lambda_(D) == lambda_by_feasibility(D) == n
+    T = rows_deltoid([(1 << n) - 1] + [0] * (n - 1))
+    assert rho(T) == rho_by_feasibility(T) == n
 
 
 def test_partition_left_golden_threshold():

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -77,6 +78,36 @@ def test_verify_witness_rejects_damage():
     assert not verify_witness(D, overlap)
     empty_r = ObstructionWitness(D.A, gset(Z12, []), gset(Z12, []), D.B, level=0)
     assert not verify_witness(D, empty_r)
+
+
+def test_verify_witness_names_an_infinite_subgroup():
+    # (1, 1) has a nonzero free coordinate, so R generates an infinite subgroup
+    group = parse_group("Z2xZ")
+    D = build_deltoid(gset(group, [(0, 0), (1, 0)]), gset(group, [(1, 1), (1, 2)]))
+    w = ObstructionWitness(
+        S=gset(group, [(0, 0)]), R=gset(group, [(1, 1)]),
+        Y=gset(group, [(1, 0)]), Z=gset(group, [(1, 2)]), level=0,
+    )
+    assert verify_witness(D, w).reason == "R generates an infinite subgroup"
+
+
+def test_verify_witness_work_is_bounded_by_the_input():
+    # R = {1} generates all of Z1000003, which would take seconds and over
+    # 100 MB to build; testing S + r inside S needs |S| * |R| sums
+    group = GroupSpec((1_000_003,))
+    tracemalloc.start()
+    try:
+        D = build_deltoid(gset(group, cyc(0, 5)), gset(group, cyc(1, 2)))
+        w = ObstructionWitness(
+            S=gset(group, cyc(0)), R=gset(group, cyc(1)),
+            Y=gset(group, cyc(5)), Z=gset(group, cyc(2)), level=0,
+        )
+        verdict = verify_witness(D, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.reason == "S is not a union of cosets of the subgroup R generates"
+    assert peak < 2**20
 
 
 def test_witness_biconditional_exhaustive_small():

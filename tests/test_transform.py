@@ -7,6 +7,7 @@ import pytest
 
 from deltoids import (
     GroupSet,
+    GroupSpec,
     ResourceLimitError,
     cosets_of,
     elements_of,
@@ -32,7 +33,7 @@ from deltoids import (
     partial_matching_with_defect,
     stabilize,
 )
-from deltoids import partition, structure, transform
+from deltoids import groups, partition, structure, transform
 from deltoids.groups import DEFAULT_ORDER_BOUND
 import helpers
 from helpers import (
@@ -46,6 +47,7 @@ from helpers import (
     gset,
     random_instance,
     random_witnessed_instance,
+    reference_escape,
     reference_subgroup_terms,
     stabilizer_pairs,
     subsets_of,
@@ -129,6 +131,22 @@ def _random_transform_triple(rng, group, span=2):
         r_elems.update(rng.sample(allowed, rng.randint(0, len(allowed))))
     R = GroupSet.of(group, r_elems)
     return A, S, R
+
+
+@pytest.mark.parametrize("bits", [0, 10**9], ids=["lookup", "mask"])
+def test_escape_matches_the_double_loop(monkeypatch, bits):
+    # the first (e, r) in canonical order, as the compose double loop found it,
+    # on both paths of the sums_in kernel
+    monkeypatch.setattr(groups, "_MASK_BITS_PER_ELEMENT", bits)
+    rng = random.Random(6)
+    for group in (Z12, parse_group("Z2xZ4"), parse_group("Z2xZ6"), Z2xZ, GroupSpec((101,))):
+        universe = universe_for(group, span=2)
+        for _ in range(150):
+            S = GroupSet.of(group, rng.sample(universe, rng.randint(1, 8)))
+            R = GroupSet.of(group, rng.sample(universe, rng.randint(0, 5)))
+            for E in (S, S.union(GroupSet.of(group, rng.sample(universe, 6)))):
+                expected = reference_escape(S, R, E.member_set)
+                assert transform._escape(S, R, E.elements) == expected
 
 
 def test_stabilize_random_triples():
