@@ -376,17 +376,40 @@ def _check_searchable(group: GroupSpec, order_bound: int) -> None:
         )
 
 
-def _search_subgroups(group: GroupSpec, order_bound: int, generators, within):
+class _Members:
+    """The items whose codes are set in a mask, decoded only when iterated.
+
+    Every set bit codes one item, so len() is the popcount.
+    """
+
+    __slots__ = ("masks", "mask", "items", "codes")
+
+    def __init__(self, masks: _Masks, mask: int, items, codes):
+        self.masks, self.mask, self.items, self.codes = masks, mask, items, codes
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __iter__(self):
+        return iter(self.masks.members(self.mask, self.items, self.codes))
+
+
+def _search_subgroups(group: GroupSpec, order_bound: int, generators, within, grows=None):
     """The subgroups H generated by elements of `generators` that have a
-    full coset in the finite set `within`.
+    full coset in the finite set `within`, lazily in canonical order: size,
+    then elements.
 
     From the trivial subgroup, joins one generator per coset of the
     subgroup being grown.  A subgroup H carries the mask of the x with
     x + H inside `within`, ANDed from the mask of the subgroup it grew
     from; at 0 H is dropped ungrown, since no supergroup has a full coset
-    either.  Returns (H n generators, the x in within with x + H inside
-    within) as element tuples, per kept H in canonical order: size, then
-    elements.
+    either.  Yields (H n generators, the x in within with x + H inside
+    within) per kept H, as _Members.  A join is larger than the subgroup
+    it grew from, so the subgroups of each size are all found once every
+    smaller one is grown; each size is then sorted and yielded in turn.
+    After each H, grows(|full cosets|) says whether to grow it (None:
+    always); a supergroup reached only through ungrown subgroups is never
+    found.
     """
     _check_searchable(group, order_bound)
     masks = _Masks(group)
@@ -394,26 +417,32 @@ def _search_subgroups(group: GroupSpec, order_bound: int, generators, within):
     gen_codes = [masks.code(x) for x in generators]
     within_codes = [masks.code(x) for x in within]
     gens = list(zip(gen_codes, generators))
+    in_generators = sum(1 << code for code in gen_codes)
+    width = f"0{masks.size}b"
     found = {1: sum(1 << code for code in within_codes)}
-    stack = [1]  # the trivial subgroup: the identity has code 0
-    while stack:
-        base = stack.pop()
-        covered = base
-        for code, x in gens:
-            if covered >> code & 1:
+    by_size = {1: [1]}  # the trivial subgroup: the identity has code 0
+    while by_size:
+        # of two sets of one size, the one holding the lowest code where they
+        # differ comes first: it has the larger mask with the bits reversed
+        level = by_size.pop(min(by_size))
+        level.sort(key=lambda h: int(format(h, width)[::-1], 2), reverse=True)
+        for base in level:
+            full = found[base]
+            yield (_Members(masks, base & in_generators, generators, gen_codes),
+                   _Members(masks, full, within, within_codes))
+            if grows is not None and not grows(full.bit_count()):
                 continue
-            # every element of the coset x + base gives the same join
-            covered |= masks.translate(base, x)
-            joined = _saturate(masks, base, x, or_)
-            if joined not in found:
-                found[joined] = _saturate(masks, found[base], x, and_)
-                if found[joined]:
-                    stack.append(joined)
-    codes = range(group.order)
-    kept = sorted(((h, full) for h, full in found.items() if full),
-                  key=lambda item: (item[0].bit_count(), masks.members(item[0], codes)))
-    return [(masks.members(h, generators, gen_codes), masks.members(full, within, within_codes))
-            for h, full in kept]
+            covered = base
+            for code, x in gens:
+                if covered >> code & 1:
+                    continue
+                # every element of the coset x + base gives the same join
+                covered |= masks.translate(base, x)
+                joined = _saturate(masks, base, x, or_)
+                if joined not in found:
+                    found[joined] = joined_full = _saturate(masks, full, x, and_)
+                    if joined_full:
+                        by_size.setdefault(joined.bit_count(), []).append(joined)
 
 
 def enumerate_subgroups(
@@ -427,7 +456,7 @@ def enumerate_subgroups(
     """
     _check_searchable(group, order_bound)  # before the elements are listed
     everything = elements_of(group)
-    return [GroupSet(group, h)
+    return [GroupSet(group, tuple(h))
             for h, _ in _search_subgroups(group, order_bound, everything, everything)]
 
 

@@ -229,32 +229,46 @@ def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
 
     Each H contributes ceil(|B n H| / (|A| - |full H-cosets in A|)); the
     floor of 1 comes from the empty-S pair.  Requires rho finite.
+
+    Reads only the two counts of each term.  A supergroup of H has at most
+    |full(H)| - 1 elements of B and at least n - |full(H)| elements of A
+    outside its full cosets (subgroup_terms), so when |full(H)| < n, H is
+    not grown once ceil((|full(H)| - 1) / (n - |full(H)|)) <= best.
     """
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
     n = D.size
     best = 1
-    for full, inside in subgroup_terms(D, order_bound):
-        denom = n - len(full.elements)
+
+    def grows(f):
+        return f >= n or _ceil_div(f - 1, n - f) > best
+
+    for full, inside in subgroup_terms(D, order_bound, grows):
+        denom = n - len(full)
         if denom <= 0:
             raise InternalInconsistencyError("A is a union of cosets meeting B")
-        term = _ceil_div(len(inside.elements), denom)
-        if term > best:
-            best = term
+        best = max(best, _ceil_div(len(inside), denom))
     return best
 
 
 def lambda_lower_bound(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
-    """Subgroup-indexed lower bound for lambda; equality is not guaranteed."""
+    """Subgroup-indexed lower bound for lambda; equality is not guaranteed.
+
+    Each H contributes ceil(|full H-cosets in A| / (|B| - |B n H|)), the
+    floor being 1.  Reads only the two counts of each term.  A supergroup
+    of H has at most |full(H)| full-coset elements and at most
+    |full(H)| - 1 elements of B (subgroup_terms), so H is not grown once
+    ceil(|full(H)| / (n - |full(H)| + 1)) <= best.
+    """
     n = D.size
     best = 1
-    for full, inside in subgroup_terms(D, order_bound):
-        denom = n - len(inside.elements)
+    for full, inside in subgroup_terms(
+        D, order_bound, lambda f: _ceil_div(f, n - f + 1) > best
+    ):
+        denom = n - len(inside)
         if denom <= 0:
             raise InternalInconsistencyError("B inside a subgroup with a full coset in A")
-        term = _ceil_div(len(full.elements), denom)
-        if term > best:
-            best = term
+        best = max(best, _ceil_div(len(full), denom))
     return best
 
 

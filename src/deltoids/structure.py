@@ -53,11 +53,19 @@ def find_witness(
     S = the full H-cosets inside A: shrinking R weakens |R| - level and S
     cannot grow past the full cosets.  A witness exists for some (S, R) iff
     one exists of this restricted shape.  Every term has S nonempty.
+
+    The shape is a witness iff |S| - n + |R| > level.  H is not grown once
+    2|full(H)| - n - 1 <= level, since no supergroup scores more than that
+    (subgroup_terms): every witness is still found, and the search stops at
+    the first one, the only term decoded.
     """
     if level < 0:
         raise InvalidParametersError("level must be nonnegative")
-    for S, R in subgroup_terms(D, order_bound):
-        if D.size - len(S.elements) < len(R.elements) - level:
+    group = D.A.group
+    n = D.size
+    for S, R in subgroup_terms(D, order_bound, lambda f: 2 * f - n - 1 > level):
+        if n - len(S) < len(R) - level:
+            S, R = GroupSet(group, tuple(S)), GroupSet(group, tuple(R))
             return ObstructionWitness(
                 S=S,
                 R=R,

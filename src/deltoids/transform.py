@@ -119,7 +119,7 @@ def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet
         S, R = e_transform_step(S, R, *witness)
 
 
-def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND):
+def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND, grows=None):
     """Yield (full H-cosets inside A, B n H) per H = <B n H> != 1 with a full coset in A.
 
     The subgroup search over B within A, in canonical order (size, then
@@ -127,11 +127,24 @@ def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND):
     subgroups: <B n H> keeps B n H and H's full cosets, scores no lower
     and sorts no later, and a subgroup with no full coset in A scores at
     most what the trivial subgroup does.
+
+    With grows, each part is a sized view of its elements, decoded only
+    when iterated, and grows(|full H-cosets inside A|) is asked once the
+    consumer has seen a term (and once for the trivial subgroup, with |A|)
+    whether to search its supergroups.  A supergroup H' of H has
+    |H'| <= |full(H')| <= |full(H)| and |B n H'| <= |H'| - 1 (the identity
+    is not in B), which bounds what H' can score.  Without grows every
+    subgroup is grown and each part is a GroupSet.
     """
     group = D.A.group
-    terms = _search_subgroups(group, order_bound, D.B.elements, D.A.elements)
-    for inside, full in terms[1:]:  # terms[0] is the trivial subgroup, full = A
-        yield GroupSet(group, full), GroupSet(group, inside)
+    terms = _search_subgroups(group, order_bound, D.B.elements, D.A.elements, grows)
+    next(terms)  # the trivial subgroup: full = A, B n H empty
+    if grows is not None:
+        for inside, full in terms:
+            yield full, inside
+        return
+    for inside, full in terms:
+        yield GroupSet(group, tuple(full)), GroupSet(group, tuple(inside))
 
 
 def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
@@ -141,8 +154,16 @@ def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) 
     the trivial subgroup contributes 0, so the result is never negative.
     Only the stabilized pairs (S = full coset union, R = (B n H) + identity)
     can attain the pair-formula maximum, which makes this exact.
+
+    Reads only the two counts of each term.  H is not grown once
+    2|full(H)| - n - 1 <= best: every supergroup scores at most that
+    (subgroup_terms), so none can raise the maximum.
     """
-    return best_stabilizer_pair(D, order_bound).value
+    n = D.size
+    best = 0
+    for full, inside in subgroup_terms(D, order_bound, lambda f: 2 * f - n - 1 > best):
+        best = max(best, len(full) - n + len(inside))
+    return best
 
 
 def best_stabilizer_pair(
@@ -153,14 +174,19 @@ def best_stabilizer_pair(
     Starts from the trivial subgroup's pair (A, {identity}) of value 0 and
     keeps the first strict improvement in canonical subgroup order, so the
     returned pair is deterministic.
+
+    H is not grown once 2|full(H)| - n - 1 <= best, as in
+    deficiency_by_subgroups; only the kept term is decoded.  Pruning ties
+    keeps the canonically first maximiser: a maximiser H' lost under an
+    ungrown H < H' scores at most the best value at H, which a term no
+    later than H (or the trivial pair) already held.
     """
     group = D.A.group
     n = D.size
-    best = (0, D.A, ())
-    for full, inside in subgroup_terms(D, order_bound):
-        value = len(full.elements) - n + len(inside.elements)
-        if value > best[0]:
-            best = (value, full, inside.elements)
-    value, full, inside = best
+    value, full, inside = 0, D.A, ()
+    for S, R in subgroup_terms(D, order_bound, lambda f: 2 * f - n - 1 > value):
+        term = len(S) - n + len(R)
+        if term > value:
+            value, full, inside = term, S, R
     paired_r = GroupSet.of(group, list(inside) + [group.identity])
-    return StabilizerPair(full, paired_r, value)
+    return StabilizerPair(GroupSet(group, tuple(full)), paired_r, value)

@@ -8,7 +8,7 @@ injections, so agreement with the library is a real cross-check.
 import math
 from array import array
 from itertools import combinations, islice, permutations, product, repeat
-from operator import floordiv, neg, sub
+from operator import and_, floordiv, neg, or_, sub
 
 from deltoids import (
     Deltoid,
@@ -28,7 +28,7 @@ from deltoids import (
     full_cosets_within,
     invert,
 )
-from deltoids.groups import DEFAULT_ORDER_BOUND
+from deltoids.groups import DEFAULT_ORDER_BOUND, _check_searchable, _Masks, _saturate
 from deltoids.matching import DEFAULT_SUBSET_BOUND
 from deltoids.partition import _rho_is_infinite
 
@@ -236,7 +236,7 @@ def reference_generate_subgroup(group: GroupSpec, generators) -> GroupSet:
     return GroupSet(group, tuple(sorted(elems)))
 
 
-def reference_subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND):
+def reference_subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND, grows=None):
     """Yield (full H-cosets inside A, B n H) for each subgroup H meeting B.
 
     Subgroups in canonical order (size, then element order).  A subgroup
@@ -245,7 +245,7 @@ def reference_subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND)
 
     The scan over the whole subgroup lattice, kept as the reference that
     the pruned subgroup search behind transform.subgroup_terms must agree
-    with.
+    with.  It grows every subgroup, so the formulas' grows is ignored.
     """
     group = D.A.group
     if not group.is_finite:
@@ -255,6 +255,79 @@ def reference_subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND)
         if inside:
             full = full_cosets_within(group, D.A.elements, sub)
             yield GroupSet(group, full), GroupSet(group, inside)
+
+
+def reference_search_subgroups(group: GroupSpec, order_bound: int, generators, within):
+    """The subgroups H generated by elements of `generators` that have a
+    full coset in the finite set `within`.
+
+    From the trivial subgroup, joins one generator per coset of the
+    subgroup being grown.  A subgroup H carries the mask of the x with
+    x + H inside `within`, ANDed from the mask of the subgroup it grew
+    from; at 0 H is dropped ungrown, since no supergroup has a full coset
+    either.  Returns (H n generators, the x in within with x + H inside
+    within) as element tuples, per kept H in canonical order: size, then
+    elements.
+
+    groups._search_subgroups before it took a value bound, kept verbatim
+    as the reference for the bounded search: it grows every kept subgroup
+    and decodes every one.
+    """
+    _check_searchable(group, order_bound)
+    masks = _Masks(group)
+    generators, within = tuple(generators), tuple(within)
+    gen_codes = [masks.code(x) for x in generators]
+    within_codes = [masks.code(x) for x in within]
+    gens = list(zip(gen_codes, generators))
+    found = {1: sum(1 << code for code in within_codes)}
+    stack = [1]  # the trivial subgroup: the identity has code 0
+    while stack:
+        base = stack.pop()
+        covered = base
+        for code, x in gens:
+            if covered >> code & 1:
+                continue
+            # every element of the coset x + base gives the same join
+            covered |= masks.translate(base, x)
+            joined = _saturate(masks, base, x, or_)
+            if joined not in found:
+                found[joined] = _saturate(masks, found[base], x, and_)
+                if found[joined]:
+                    stack.append(joined)
+    codes = range(group.order)
+    kept = sorted(((h, full) for h, full in found.items() if full),
+                  key=lambda item: (item[0].bit_count(), masks.members(item[0], codes)))
+    return [(masks.members(h, generators, gen_codes), masks.members(full, within, within_codes))
+            for h, full in kept]
+
+
+def reference_subgroup_answers(D: Deltoid) -> dict:
+    """Every subgroup formula's answer, read off the unbounded reference search.
+
+    The terms are those of transform.subgroup_terms before the value bound:
+    (|full H-cosets in A|, B n H) per kept H but the trivial one, in
+    canonical order.  Keys: deficiency, pair (S, R, value), witnesses (the
+    first witness's (S, R) or None per level 0 .. deficiency), rho (None
+    when rho is infinite) and lambda.
+    """
+    group, n = D.A.group, D.size
+    terms = reference_search_subgroups(group, DEFAULT_ORDER_BOUND, D.B.elements, D.A.elements)
+    terms = [(full, inside) for inside, full in terms[1:]]
+    value, S, R = 0, D.A.elements, ()
+    for full, inside in terms:
+        if len(full) - n + len(inside) > value:
+            value, S, R = len(full) - n + len(inside), full, inside
+    pair = (GroupSet(group, S), GroupSet.of(group, R + (group.identity,)), value)
+    witnesses = [
+        next(((full, inside) for full, inside in terms if n - len(full) < len(inside) - level),
+             None)
+        for level in range(value + 1)
+    ]
+    rho = None
+    if not _rho_is_infinite(D):
+        rho = max([1] + [ceil_div(len(inside), n - len(full)) for full, inside in terms])
+    lam = max([1] + [ceil_div(len(full), n - len(inside)) for full, inside in terms])
+    return {"deficiency": value, "pair": pair, "witnesses": witnesses, "rho": rho, "lambda": lam}
 
 
 def reference_existence_predicate(group, n, level, lattice):
@@ -398,6 +471,31 @@ def random_witnessed_instance(rng, group=Z12):
     z_elems = rng.sample(pool, n - len(r_elems))
     B = GroupSet.of(group, r_elems + z_elems)
     return build_deltoid(A, B)
+
+
+def coset_heavy_instance(rng, group):
+    """A seeded instance with A mostly whole cosets of one subgroup L and B
+    partly inside L; about one in eight has several best subgroup terms.
+
+    None when B cannot be filled (tiny groups).
+    """
+    subs = [h for h in enumerate_subgroups(group) if 1 < len(h.elements) < group.order]
+    L = rng.choice(subs)
+    all_cosets = cosets_of(group, L)
+    a_elems = [x for coset in rng.sample(all_cosets, rng.randint(1, len(all_cosets) - 1))
+               for x in coset]
+    taken = set(a_elems)
+    rest = [x for x in elements_of(group) if x not in taken]
+    a_elems += rng.sample(rest, rng.randint(0, min(2, len(rest))))
+    n = len(a_elems)
+    inner = [x for x in L.elements if x != group.identity]
+    b_elems = rng.sample(inner, rng.randint(1, min(len(inner), n)))
+    chosen = set(b_elems)
+    pool = [x for x in elements_of(group) if x != group.identity and x not in chosen]
+    if len(pool) < n - len(b_elems):
+        return None
+    b_elems += rng.sample(pool, n - len(b_elems))
+    return build_deltoid(GroupSet.of(group, a_elems), GroupSet.of(group, b_elems))
 
 
 def is_subgroup(S):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import random
 import time
 from pathlib import Path
 
@@ -34,6 +35,25 @@ def write_instance(tmp_path, payload, name="instance.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def test_deficiency_subgroup_route_in_z2_to_the_9(capsys, tmp_path):
+    # a seeded uniform instance of size 200 in Z2^9: the subgroup route took
+    # tens of seconds before the search stopped at its value bound
+    rng = random.Random(1)
+    everything = [[int(c) for c in format(code, "09b")] for code in range(512)]
+    path = write_instance(tmp_path, {
+        "group": "x".join(["Z2"] * 9),
+        "A": rng.sample(everything, 200),
+        "B": rng.sample(everything[1:], 200),
+    })
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, "deficiency", path)
+    assert code == 0
+    routes = report["results"]["routes"]
+    assert routes["subgroups"] == routes["matching"] == report["results"]["delta"]
+    assert set(report["results"]["skipped"]) == {"subsets"}  # 2^200 subsets
+    assert time.perf_counter() - start < 5.0
 
 
 def test_deficiency_golden(capsys):

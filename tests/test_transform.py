@@ -41,6 +41,7 @@ from helpers import (
     Z2xZ2,
     Z6,
     Z12,
+    coset_heavy_instance,
     cyc,
     exhaustive_instances,
     golden_deltoid,
@@ -48,6 +49,8 @@ from helpers import (
     random_instance,
     random_witnessed_instance,
     reference_escape,
+    reference_search_subgroups,
+    reference_subgroup_answers,
     reference_subgroup_terms,
     stabilizer_pairs,
     subsets_of,
@@ -280,9 +283,10 @@ def _subgroup_answers(D):
     return answers
 
 
-def _reference_terms_with_full_cosets(D, order_bound=DEFAULT_ORDER_BOUND):
+def _reference_terms_with_full_cosets(D, order_bound=DEFAULT_ORDER_BOUND, grows=None):
     # lambda_lower_bound skipped the terms with no full coset in A, where a
-    # B inside H would make its denominator 0
+    # B inside H would make its denominator 0; grows is ignored, as by the
+    # reference
     return ((full, inside) for full, inside in reference_subgroup_terms(D, order_bound)
             if full.elements)
 
@@ -332,6 +336,53 @@ def test_subgroup_search_agrees_with_the_lattice_scan(monkeypatch):
             assert lambda_lower_bound(D) == bound
 
 
+def _bounded_answers(D):
+    # the keys of reference_subgroup_answers, from the value-bounded search
+    delta = deficiency_by_subgroups(D)
+    pair = best_stabilizer_pair(D)
+    witnesses = [find_witness(D, level) for level in range(delta + 1)]
+    return {
+        "deficiency": delta,
+        "pair": (pair.S, pair.R, pair.value),
+        "witnesses": [w and (w.S.elements, w.R.elements) for w in witnesses],
+        "rho": None if partition._rho_is_infinite(D) else rho_by_pairs(D),
+        "lambda": lambda_lower_bound(D),
+    }
+
+
+def _best_terms(D):
+    # how many subgroup terms take the best positive value
+    n = D.size
+    terms = reference_search_subgroups(
+        D.A.group, DEFAULT_ORDER_BOUND, D.B.elements, D.A.elements
+    )[1:]
+    values = [len(full) - n + len(inside) for inside, full in terms]
+    best = max(values, default=0)
+    return values.count(best) if best > 0 else 0
+
+
+def _coset_heavy_instances():
+    rng = random.Random(11)
+    for literal in ("Z2xZ2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ6", "Z4xZ4", "Z2xZ2xZ2xZ2", "Z2xZ2xZ4"):
+        group = parse_group(literal)
+        for _ in range(40):
+            D = coset_heavy_instance(rng, group)
+            if D is not None:
+                yield D
+
+
+def test_bounded_search_agrees_with_the_unbounded_reference():
+    # every formula that stops growing a subgroup at its value bound answers
+    # as from the search that grows them all; best_stabilizer_pair prunes
+    # ties too, and the instances with several best terms check that it
+    # still returns the canonically first
+    tied = 0
+    for D in [*_search_instances(), *_coset_heavy_instances()]:
+        assert _bounded_answers(D) == reference_subgroup_answers(D)
+        tied += _best_terms(D) > 1
+    assert tied >= 40
+
+
 def test_subgroup_route_in_z2_to_the_8():
     # Z2^8 has 417,199 subgroups; the search over B visits only those with a
     # full coset in A.  A holds two cosets of a subgroup of order 16 whose
@@ -355,4 +406,36 @@ def test_subgroup_route_in_z2_to_the_8():
     assert verify_witness(D, find_witness(D, delta - 1))
     assert find_witness(D, delta) is None
     # about 0.1 s; scanning every subgroup takes minutes
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("rank, n", [(9, 200), (10, 256)])
+def test_subgroup_route_on_seeded_uniform_sets(rank, n):
+    # the subgroup route took tens of seconds here before the value bound;
+    # uniform sets this sparse have deficiency 0, so a second instance puts
+    # A as n / 2 cosets of <b> for some b in B, which scores 1
+    group = parse_group("x".join(["Z2"] * rank))
+    rng = random.Random(1)
+    everything = elements_of(group)
+    uniform = build_deltoid(
+        GroupSet.of(group, rng.sample(everything, n)),
+        GroupSet.of(group, rng.sample(everything[1:], n)),
+    )
+    b = rng.choice(everything[1:])
+    cosets = rng.sample(cosets_of(group, generate_subgroup(group, [b])), n // 2)
+    paired = build_deltoid(
+        GroupSet.of(group, [x for coset in cosets for x in coset]),
+        GroupSet.of(group, [b] + rng.sample([x for x in everything[1:] if x != b], n - 1)),
+    )
+    assert deficiency(uniform) == 0 and deficiency(paired) >= 1
+    start = time.perf_counter()
+    for D in (uniform, paired):
+        delta = deficiency(D)
+        assert deficiency_by_subgroups(D) == delta
+        pair = best_stabilizer_pair(D)
+        assert pair.value == delta and pair.validate(D)
+        assert find_witness(D, delta) is None
+        if D is paired:
+            assert verify_witness(D, find_witness(D, delta - 1))
+    # about 0.1 s in all
     assert time.perf_counter() - start < 5.0
