@@ -226,17 +226,17 @@ def generate_subgroup(group: GroupSpec, generators) -> GroupSet:
     # Each coset is the last one plus g, and leads with j*g since H leads
     # with the identity.
     elems = [group.identity]
-    members = {group.identity}
+    seen = {group.identity}
     for g in gens:
-        if g in members:
+        if g in seen:
             continue
         coset, elems = elems, list(elems)
         while True:
             coset = [compose(group, x, g) for x in coset]
-            if coset[0] in members:
+            if coset[0] in seen:
                 break
             elems.extend(coset)
-        members = set(elems)
+        seen = set(elems)
     return GroupSet(group, tuple(sorted(elems)))
 
 
@@ -250,6 +250,12 @@ _MASK_BITS_PER_ELEMENT = 1024
 
 # binary digits "0"/"1" to the byte values 0/1, selectors for compress
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def members(mask: int, width: int, items, codes=None) -> tuple:
+    """The items whose codes are set in a width-bit mask; codes[i] (default i) codes items[i]."""
+    bits = format(mask, f"0{width}b")[::-1].encode().translate(_BIT_VALUES)
+    return tuple(compress(items, bits if codes is None else map(bits.__getitem__, codes)))
 
 
 class _Masks:
@@ -308,8 +314,7 @@ class _Masks:
 
     def members(self, mask: int, items, codes=None) -> tuple:
         """The items whose codes are set in mask; codes[i] (default i) codes items[i]."""
-        bits = format(mask, f"0{self.size}b")[::-1].encode().translate(_BIT_VALUES)
-        return tuple(compress(items, bits if codes is None else map(bits.__getitem__, codes)))
+        return members(mask, self.size, items, codes)
 
 
 def sums_in(group: GroupSpec, X, Y, E) -> list[int]:
@@ -331,9 +336,9 @@ def sums_in(group: GroupSpec, X, Y, E) -> list[int]:
         offsets.setdefault(tuple(y[k:]), len(offsets) * size)
     if len(offsets) * size > _MASK_BITS_PER_ELEMENT * len(Y):
         # a mask row would be far longer than the |Y| lookups it replaces
-        members = {canonicalize(group, e) for e in E}
+        e_set = {canonicalize(group, e) for e in E}
         return [
-            sum(1 << j for j, y in enumerate(Y) if compose(group, x, y) in members) for x in X
+            sum(1 << j for j, y in enumerate(Y) if compose(group, x, y) in e_set) for x in X
         ]
     # y lies in E - x iff its code is set in the mask of E's free part
     # x_free + y_free, translated by -x_torsion.  Each row is one string of
@@ -356,10 +361,11 @@ def sums_in(group: GroupSpec, X, Y, E) -> list[int]:
     return rows
 
 
-def _saturate(masks: _Masks, mask: int, x: Element, combine) -> int:
+def _saturate(masks: _Masks, mask: int, shifted: int, x: Element, combine) -> int:
     # combine = or_: the least superset of mask closed under +x; and_: the
-    # greatest subset.  Doubles the run of translates mask + k*x until closed.
-    out = combine(mask, masks.translate(mask, x))
+    # greatest subset.  Doubles the run of translates mask + k*x, from
+    # shifted = mask + x, until closed.
+    out = combine(mask, shifted)
     step = x
     while out and masks.translate(out, x) != out:
         step = tuple(2 * c for c in step)
@@ -437,10 +443,12 @@ def _search_subgroups(group: GroupSpec, order_bound: int, generators, within, gr
                 if covered >> code & 1:
                     continue
                 # every element of the coset x + base gives the same join
-                covered |= masks.translate(base, x)
-                joined = _saturate(masks, base, x, or_)
+                shifted = masks.translate(base, x)
+                covered |= shifted
+                joined = _saturate(masks, base, shifted, x, or_)
                 if joined not in found:
-                    found[joined] = joined_full = _saturate(masks, full, x, and_)
+                    shifted = masks.translate(full, x)
+                    found[joined] = joined_full = _saturate(masks, full, shifted, x, and_)
                     if joined_full:
                         by_size.setdefault(joined.bit_count(), []).append(joined)
 
@@ -471,7 +479,7 @@ def first_subgroup_of_order(group: GroupSpec, m: int) -> GroupSet:
     masks, everything, h = _Masks(group), elements_of(group), 1
     for code, x in enumerate(everything):
         if h.bit_count() < m and not (h >> code & 1 or m % order(group, x)):
-            joined = _saturate(masks, h, x, or_)
+            joined = _saturate(masks, h, masks.translate(h, x), x, or_)
             h = joined if m % joined.bit_count() == 0 else h
     return GroupSet(group, masks.members(h, everything))
 
@@ -488,7 +496,7 @@ def full_cosets_within(group: GroupSpec, elements, sub: GroupSet) -> tuple[Eleme
     elements = tuple(elements)
     rows = sums_in(group, sub.elements, elements, elements)
     inside = reduce(and_, rows, (1 << len(elements)) - 1)
-    return tuple(sorted(x for j, x in enumerate(elements) if inside >> j & 1))
+    return tuple(sorted(members(inside, len(elements), elements)))
 
 
 def cosets_of(group: GroupSpec, sub: GroupSet) -> list[tuple[Element, ...]]:

@@ -159,10 +159,10 @@ def subset_planes(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND):
     summed.  sizes is built by doubling, each half the one before plus one.
     Refuses instances above subset_bound.
 
-    Both planes hold values up to n.  The sweeps add two planes lane by lane
-    as one int, with sums up to 2n in deficiency_by_subsets and up to
-    n + 127 in the rho and lambda probes, so no lane carries into the next
-    while n <= 127, far past any sweep that fits in memory.
+    Both planes hold values up to n.  Their readers here add two planes lane
+    by lane as one int, with sums up to 2n in deficiency_by_subsets and up
+    to n + 127 in subset_probe, so no lane carries into the next while
+    n <= 127, far past any sweep that fits in memory.
     """
     n = D.size
     if n > subset_bound:
@@ -194,6 +194,35 @@ def subset_planes(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND):
 def _complement_table(n: int) -> bytes:
     # translate table taking each byte x <= n to n - x
     return bytes(range(n, -1, -1)).ljust(256, b"\0")
+
+
+def subset_probe(D: Deltoid, side: str, subset_bound: int = DEFAULT_SUBSET_BOUND):
+    """The monotone test clear(k) behind a partition number, over the subset planes.
+
+    side "left" (lambda): no S has |S| > k|delta(S)|; "right" (rho): no S
+    has n - |delta(S)| > k(n - |S|).  The caller makes k = n clear.
+    Refuses instances above subset_bound.
+    """
+    n = D.size
+    sizes, degrees = subset_planes(D, subset_bound)
+    if side == "left":
+        fixed, plane = sizes, degrees
+    else:
+        flip = _complement_table(n)
+        fixed, plane = degrees.translate(flip), sizes.translate(flip)
+    del sizes, degrees
+    fixed = int.from_bytes(fixed, "little")
+    # clear(k): no lane of fixed + T_k[plane] reaches 128, where
+    # T_k[y] = 127 - min(k * y, n).  A lane of fixed holds some x <= n, so
+    # it reaches 128 exactly when x > k * y.
+    pad = bytes([127 - n])
+
+    def clear(k: int) -> bool:
+        table = bytes(range(127, 126 - n, -k)).ljust(256, pad)
+        lanes = fixed + int.from_bytes(plane.translate(table), "little")
+        return lanes.to_bytes(len(plane), "little").isascii()
+
+    return clear
 
 
 def deficiency_by_subsets(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:

@@ -22,9 +22,8 @@ from .matching import (
     DEFAULT_SUBSET_BOUND,
     PartialMatching,
     Verdict,
-    _complement_table,
     assign,
-    subset_planes,
+    subset_probe,
     verify_matching,
 )
 from .sets import Deltoid
@@ -79,22 +78,6 @@ def _least_k(clear, n: int) -> int:
     return lo
 
 
-def _plane_probe(fixed: int, plane, n: int):
-    # clear(k): no lane of fixed + T_k[plane] reaches 128, where
-    # T_k[y] = 127 - min(k * y, n).  A lane of fixed holds some x <= n, so
-    # it reaches 128 exactly when x > k * y; lanes stay below 128 + n, so
-    # no sum carries into the next lane.  The caller makes k = n clear,
-    # and clearing is monotone in k.
-    pad = bytes([127 - n])
-
-    def clear(k: int) -> bool:
-        table = bytes(range(127, 126 - n, -k)).ljust(256, pad)
-        lanes = fixed + int.from_bytes(plane.translate(table), "little")
-        return lanes.to_bytes(len(plane), "little").isascii()
-
-    return clear
-
-
 def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     """Right partition number by the definitional subset sweep.
 
@@ -107,14 +90,7 @@ def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     """
     if _rho_is_infinite(D):
         return math.inf
-    n = D.size
-    sizes, degrees = subset_planes(D, subset_bound)
-    complement = _complement_table(n)
-    outside = int.from_bytes(degrees.translate(complement), "little")
-    del degrees
-    rest = sizes.translate(complement)
-    del sizes
-    return _least_k(_plane_probe(outside, rest, n), n)
+    return _least_k(subset_probe(D, "right", subset_bound), D.size)
 
 
 def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
@@ -125,14 +101,12 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
     no nonempty S has |S| > k|delta(S)|, found by a doubling search over
     the subset planes.
     """
-    sizes, degrees = subset_planes(D, subset_bound)
+    clear = subset_probe(D, "left", subset_bound)
     # delta(S) is the OR of the rows of S, so it is empty for some nonempty
     # S exactly when a row is 0; otherwise k = n clears every S
     if 0 in D.rows:
         raise InternalInconsistencyError("nonempty S with empty neighborhood")
-    inside = int.from_bytes(sizes, "little")
-    del sizes
-    return _least_k(_plane_probe(inside, degrees, D.size), D.size)
+    return _least_k(clear, D.size)
 
 
 def _split_classes(D: Deltoid, holders, k: int, side: str) -> AdmissiblePartition:

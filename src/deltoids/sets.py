@@ -10,7 +10,8 @@ the one subset sweep (matching.subset_planes) read.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import (
     EmptySetError,
@@ -25,6 +26,7 @@ from .groups import (
     _Value,
     canonicalize,
     compose,
+    members,
     order,
     sums_in,
 )
@@ -88,31 +90,9 @@ class Deltoid(_Value):
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 
-    @property
-    def adjacency(self) -> tuple[tuple[bool, ...], ...]:
-        """The dense boolean matrix, row a, column b."""
-        n = self.size
-        return tuple(tuple(bool(r >> j & 1) for j in range(n)) for r in self.rows)
-
-    def row_positions(self, S: GroupSet) -> list[int]:
-        """Row indices of a subset of A; NotASubsetError otherwise."""
-        if S.group != self.A.group:
-            raise NotASubsetError("subset lives in a different group")
-        idx = self.a_index
-        try:
-            return [idx[a] for a in S.elements]
-        except KeyError as missing:
-            raise NotASubsetError(f"{missing.args[0]} is not in A") from None
-
     def column_set(self, mask: int) -> GroupSet:
         """Decode a column bitmask into the corresponding subset of B."""
-        b = self.B.elements
-        picked = []
-        while mask:
-            low = mask & -mask
-            picked.append(b[low.bit_length() - 1])
-            mask ^= low
-        return GroupSet(self.B.group, tuple(picked))
+        return GroupSet(self.B.group, members(mask, self.size, self.B.elements))
 
 
 def build_deltoid(A: GroupSet, B: GroupSet) -> Deltoid:
@@ -135,11 +115,14 @@ def build_deltoid(A: GroupSet, B: GroupSet) -> Deltoid:
 
 
 def delta_mask(D: Deltoid, S: GroupSet) -> int:
-    """Column bitmask of the neighborhood of S (b such that some s*b leaves A)."""
-    mask = 0
-    for i in D.row_positions(S):
-        mask |= D.rows[i]
-    return mask
+    """Column bitmask of the b with some s*b outside A; NotASubsetError unless S is in A."""
+    if S.group != D.A.group:
+        raise NotASubsetError("subset lives in a different group")
+    rows, idx = D.rows, D.a_index
+    try:
+        return reduce(or_, [rows[idx[a]] for a in S.elements], 0)
+    except KeyError as missing:
+        raise NotASubsetError(f"{missing.args[0]} is not in A") from None
 
 
 def delta_set(D: Deltoid, S: GroupSet) -> GroupSet:
@@ -161,14 +144,14 @@ def max_progression_length(A: GroupSet, x) -> int:
     group = A.group
     x = canonicalize(group, x)
     ox = order(group, x)
-    members = A.member_set
+    in_a = A.member_set
     best = 1
     for a in A.elements:
         length = 1
         cur = a
         while length < ox:
             cur = compose(group, cur, x)
-            if cur not in members:
+            if cur not in in_a:
                 break
             length += 1
         if length > best:

@@ -13,12 +13,12 @@ from .errors import (
     InternalConstructorError,
     InvalidParametersError,
     NoConstructionError,
-    ResourceLimitError,
 )
 from .groups import (
     DEFAULT_ORDER_BOUND,
     GroupSet,
     GroupSpec,
+    _check_searchable,
     _Value,
     cosets_of,
     elements_of,
@@ -66,13 +66,8 @@ def find_witness(
     for S, R in subgroup_terms(D, order_bound, lambda f: 2 * f - n - 1 > level):
         if n - len(S) < len(R) - level:
             S, R = GroupSet(group, tuple(S)), GroupSet(group, tuple(R))
-            return ObstructionWitness(
-                S=S,
-                R=R,
-                Y=D.A.difference(S),
-                Z=D.B.difference(R),
-                level=level,
-            )
+            Y, Z = D.A.difference(S), D.B.difference(R)
+            return ObstructionWitness(S=S, R=R, Y=Y, Z=Z, level=level)
     return None
 
 
@@ -135,9 +130,8 @@ def existence_predicate(
         raise InvalidParametersError("existence search needs a finite group")
     if level < 0:
         raise InvalidParametersError("level must be nonnegative")
+    _check_searchable(group, order_bound)
     size = group.order
-    if size > order_bound:
-        raise ResourceLimitError(f"group order {size} exceeds enumeration bound {order_bound}")
     orders = [m for m in range(2, size) if size % m == 0]
     if not orders:
         raise InvalidParametersError("group has no nontrivial proper subgroup")

@@ -128,23 +128,30 @@ def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND, grows=Non
     and sorts no later, and a subgroup with no full coset in A scores at
     most what the trivial subgroup does.
 
-    With grows, each part is a sized view of its elements, decoded only
-    when iterated, and grows(|full H-cosets inside A|) is asked once the
-    consumer has seen a term (and once for the trivial subgroup, with |A|)
-    whether to search its supergroups.  A supergroup H' of H has
-    |H'| <= |full(H')| <= |full(H)| and |B n H'| <= |H'| - 1 (the identity
-    is not in B), which bounds what H' can score.  Without grows every
-    subgroup is grown and each part is a GroupSet.
+    Each part is a sized view of its elements, decoded only when iterated.
+    grows(|full H-cosets inside A|), if given, is asked after each term (and
+    for the trivial subgroup, with |A|) whether to search H's supergroups.
+    A supergroup H' of H has |H'| <= |full(H')| <= |full(H)| and
+    |B n H'| <= |H'| - 1 (the identity is not in B), which bounds its score.
     """
-    group = D.A.group
-    terms = _search_subgroups(group, order_bound, D.B.elements, D.A.elements, grows)
+    terms = _search_subgroups(D.A.group, order_bound, D.B.elements, D.A.elements, grows)
     next(terms)  # the trivial subgroup: full = A, B n H empty
-    if grows is not None:
-        for inside, full in terms:
-            yield full, inside
-        return
     for inside, full in terms:
-        yield GroupSet(group, tuple(full)), GroupSet(group, tuple(inside))
+        yield full, inside
+
+
+def _best_term(D: Deltoid, order_bound: int):
+    # (value, full, inside) of the canonically first term scoring highest,
+    # |full(H)| - n + |B n H|; the trivial subgroup's (0, A, ()) unless beaten.
+    # H is not grown once 2|full(H)| - n - 1 <= value (subgroup_terms).  This
+    # prunes ties and still keeps the first maximiser: one lost under an
+    # ungrown H scores at most the value at H, held by a term no later than H.
+    n = D.size
+    best = 0, D.A, ()
+    for full, inside in subgroup_terms(D, order_bound, lambda f: 2 * f - n - 1 > best[0]):
+        if (score := len(full) - n + len(inside)) > best[0]:
+            best = score, full, inside
+    return best
 
 
 def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
@@ -153,17 +160,11 @@ def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) 
     Each H contributes |full H-cosets inside A| - |B| + |B intersect H|;
     the trivial subgroup contributes 0, so the result is never negative.
     Only the stabilized pairs (S = full coset union, R = (B n H) + identity)
-    can attain the pair-formula maximum, which makes this exact.
-
-    Reads only the two counts of each term.  H is not grown once
-    2|full(H)| - n - 1 <= best: every supergroup scores at most that
-    (subgroup_terms), so none can raise the maximum.
+    can attain the pair-formula maximum, which makes this exact.  Reads
+    only the two counts of each term, through the value-bounded search
+    best_stabilizer_pair runs too.
     """
-    n = D.size
-    best = 0
-    for full, inside in subgroup_terms(D, order_bound, lambda f: 2 * f - n - 1 > best):
-        best = max(best, len(full) - n + len(inside))
-    return best
+    return _best_term(D, order_bound)[0]
 
 
 def best_stabilizer_pair(
@@ -173,20 +174,9 @@ def best_stabilizer_pair(
 
     Starts from the trivial subgroup's pair (A, {identity}) of value 0 and
     keeps the first strict improvement in canonical subgroup order, so the
-    returned pair is deterministic.
-
-    H is not grown once 2|full(H)| - n - 1 <= best, as in
-    deficiency_by_subgroups; only the kept term is decoded.  Pruning ties
-    keeps the canonically first maximiser: a maximiser H' lost under an
-    ungrown H < H' scores at most the best value at H, which a term no
-    later than H (or the trivial pair) already held.
+    returned pair is deterministic.  Only the kept term is decoded.
     """
     group = D.A.group
-    n = D.size
-    value, full, inside = 0, D.A, ()
-    for S, R in subgroup_terms(D, order_bound, lambda f: 2 * f - n - 1 > value):
-        term = len(S) - n + len(R)
-        if term > value:
-            value, full, inside = term, S, R
+    value, full, inside = _best_term(D, order_bound)
     paired_r = GroupSet.of(group, list(inside) + [group.identity])
     return StabilizerPair(GroupSet(group, tuple(full)), paired_r, value)

@@ -270,8 +270,9 @@ def reference_search_subgroups(group: GroupSpec, order_bound: int, generators, w
     elements.
 
     groups._search_subgroups before it took a value bound, kept verbatim
-    as the reference for the bounded search: it grows every kept subgroup
-    and decodes every one.
+    (but for _saturate, which now takes the first translate from its
+    caller) as the reference for the bounded search: it grows every kept
+    subgroup and decodes every one.
     """
     _check_searchable(group, order_bound)
     masks = _Masks(group)
@@ -289,9 +290,11 @@ def reference_search_subgroups(group: GroupSpec, order_bound: int, generators, w
                 continue
             # every element of the coset x + base gives the same join
             covered |= masks.translate(base, x)
-            joined = _saturate(masks, base, x, or_)
+            joined = _saturate(masks, base, masks.translate(base, x), x, or_)
             if joined not in found:
-                found[joined] = _saturate(masks, found[base], x, and_)
+                found[joined] = _saturate(
+                    masks, found[base], masks.translate(found[base], x), x, and_
+                )
                 if found[joined]:
                     stack.append(joined)
     codes = range(group.order)

@@ -58,12 +58,12 @@ def test_build_deltoid_golden_shape():
     for i, a in enumerate(D.A.elements):
         for j, b in enumerate(D.B.elements):
             assert D.adjacent(i, j) == (compose(Z12, a, b) not in members)
-    assert D.adjacency[0][2] == ((0 + 3) % 12 not in {e[0] for e in D.A.elements})
+    assert D.adjacent(0, 2) == ((0 + 3) % 12 not in {e[0] for e in D.A.elements})
 
 
 def test_build_deltoid_singleton():
     D = build_deltoid(gset(Z3, cyc(1)), gset(Z3, cyc(1)))
-    assert D.adjacency == ((True,),)
+    assert D.rows == (1,)
 
 
 def test_build_deltoid_errors():
@@ -158,6 +158,30 @@ def test_u_set_golden():
     )
     assert u_set(D, gset(Z12, [])) == D.B
     assert u_set(D, D.A).elements == ()
+
+
+def test_delta_and_u_decode_past_one_machine_word():
+    # 200 columns span several machine words; S = A has delta(A) = B, so
+    # its mask has the top bit set, and u(A) is empty
+    rng = random.Random(200)
+    D = cyclic_instance(rng, 997, 200, "uniform")
+    a_elems = list(D.A.elements)
+    subsets = [[], a_elems] + [rng.sample(a_elems, k) for k in (1, 5, 60, 140, 199)]
+    for s in subsets:
+        S = GroupSet(D.A.group, tuple(sorted(s)))
+        expected = brute_delta_elems(D, s)
+        assert delta_set(D, S).elements == tuple(b for b in D.B.elements if b in expected)
+        assert u_set(D, S).elements == tuple(b for b in D.B.elements if b not in expected)
+    assert delta_set(D, D.A) == D.B and u_set(D, D.A).elements == ()
+    assert u_set(D, GroupSet(D.A.group, ())) == D.B
+    outside = next((x,) for x in range(997) if (x,) not in D.A)
+    for neighborhood in (delta_set, u_set):
+        with pytest.raises(NotASubsetError) as missing:
+            neighborhood(D, GroupSet.of(D.A.group, [outside, a_elems[0]]))
+        assert str(missing.value) == f"{outside} is not in A"
+        with pytest.raises(NotASubsetError) as foreign:
+            neighborhood(D, gset(Z12, cyc(1)))
+        assert str(foreign.value) == "subset lives in a different group"
 
 
 def test_delta_and_u_partition_b_exhaustively():

@@ -325,7 +325,9 @@ def test_subgroup_search_agrees_with_the_lattice_scan(monkeypatch):
             for h, (full, inside) in zip(meets_b, reference_subgroup_terms(D), strict=True)
             if full.elements and generate_subgroup(group, inside.elements) == h
         ]
-        assert list(transform.subgroup_terms(D)) == expected
+        decoded = [(GroupSet(group, tuple(full)), GroupSet(group, tuple(inside)))
+                   for full, inside in transform.subgroup_terms(D)]
+        assert decoded == expected
         answers = _subgroup_answers(D)
         bound = lambda_lower_bound(D)
         with monkeypatch.context() as patched:
