@@ -4,13 +4,13 @@ Two independent routes to the same number live here: an augmenting-path
 maximum matching over the adjacency, and the definitional maximum of
 |S| - |delta(S)| over all 2^|A| subsets (the defect form of Hall's
 condition), read off the one subset sweep: two byte planes holding |S| and
-|delta(S)| for every subset, which rho and lambda read too.  The two routes
-are cross-checked against each other in the test suite.
+|N(S)| for every subset S of a list of masks (the rows here and for lambda,
+the columns for rho).  The two routes are cross-checked in the test suite.
 The augmenting search is the capacity-k assign, which also builds the
-admissible partitions.  Whatever is shown as a certificate (matching pairs,
-partition classes) comes from its Kuhn order; a call that needs only how
-many sources stay unplaced (deficiency, the least-k probes behind rho and
-lambda) searches with lookahead, which finds the same count faster.
+admissible partitions.  Every certificate (matching pairs, partition
+classes) is decoded by slot_matchings from its Kuhn order; a call that
+needs only how many sources stay unplaced (deficiency, the least-k probes
+behind rho and lambda) searches with lookahead: the same count, faster.
 """
 
 from __future__ import annotations
@@ -121,14 +121,24 @@ def max_matching(D: Deltoid) -> PartialMatching:
     order, so equal inputs give byte-equal outputs.  The search runs once
     per deltoid and is cached on it.
     """
-    holders, unplaced = D.row_assignment
-    a_elems = D.A.elements
-    b_elems = D.B.elements
-    pairs = tuple(
-        (a_elems[i], b_elems[j])
-        for i, j in sorted((bucket[0], j) for j, bucket in enumerate(holders) if bucket)
-    )
-    return PartialMatching(pairs, unplaced)
+    return slot_matchings(D, D.row_assignment[0], 1, "left")[0]
+
+
+def slot_matchings(D: Deltoid, holders, k: int, side: str) -> list[PartialMatching]:
+    """The k matchings of assign's holders over D.rows (left) or D.columns (right).
+
+    Slot h pairs each target with its h-th holder by index, so it sees every
+    target at most once; its pairs are (a, b) in canonical order of a.
+    """
+    slots: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for target, sources in enumerate(holders):
+        for h, src in enumerate(sorted(sources)):
+            slots[h].append((src, target) if side == "left" else (target, src))
+    a_elems, b_elems, n = D.A.elements, D.B.elements, D.size
+    return [
+        PartialMatching(tuple([(a_elems[i], b_elems[j]) for i, j in sorted(slot)]), n - len(slot))
+        for slot in slots
+    ]
 
 
 def deficiency(D: Deltoid) -> int:
@@ -147,39 +157,39 @@ def partial_matching_with_defect(D: Deltoid, d: int) -> PartialMatching | None:
     return PartialMatching(best.pairs[:keep], d)
 
 
-def subset_planes(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND):
-    """Sizes and neighborhood sizes of all 2^|A| subsets, one byte per subset.
+def subset_planes(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
+    """Sizes and neighborhood sizes of all 2^n subsets of n masks, one byte per subset.
 
-    Returns (sizes, degrees): sizes[m] = |S| and degrees[m] = |delta(S)|,
-    where S is the subset of A at the row positions set in m.  degrees is
-    built in blocks of 2^16 subsets: a block's column masks are the lanes
-    of one int, grown by doubling over the first 16 rows and ORed with the
-    mask of the block's remaining rows copied into every lane; the lanes
-    are popcounted a byte at a time through a table and their byte counts
+    Returns (sizes, degrees): sizes[m] = |S| and degrees[m] = |N(S)|, where S
+    is the positions set in m and N(S) the OR of their masks.  degrees is
+    built in blocks of 2^16 subsets: a block's N(S) are the lanes of one
+    int, grown by doubling over the first 16 masks and ORed with the OR of
+    the block's remaining masks copied into every lane; the lanes are
+    popcounted a byte at a time through a table and their byte counts
     summed.  sizes is built by doubling, each half the one before plus one.
-    Refuses instances above subset_bound.
+    Refuses n above subset_bound.
 
     Both planes hold values up to n.  Their readers here add two planes lane
     by lane as one int, with sums up to 2n in deficiency_by_subsets and up
     to n + 127 in subset_probe, so no lane carries into the next while
     n <= 127, far past any sweep that fits in memory.
     """
-    n = D.size
+    n = len(masks)
     if n > subset_bound:
         raise ResourceLimitError(f"|A| = {n} exceeds subset sweep bound {subset_bound}")
     sizes = bytearray(1)
     for _ in range(n):
         sizes += sizes.translate(_PLUS_ONE)
-    width = (n + 7) // 8  # bytes per lane, enough for a column mask
+    width = (n + 7) // 8  # bytes per lane, enough for one N(S)
     lanes, ones, low = 1, 1, 0
-    for row in D.rows[:_BLOCK_ROWS]:
+    for mask in masks[:_BLOCK_ROWS]:
         shift = lanes * 8 * width
-        low |= (low | row * ones) << shift
+        low |= (low | mask * ones) << shift
         ones |= ones << shift
         lanes *= 2
     highs = [0]
-    for row in D.rows[_BLOCK_ROWS:]:
-        highs += [high | row for high in highs]
+    for mask in masks[_BLOCK_ROWS:]:
+        highs += [high | mask for high in highs]
     degrees = bytearray(lanes * len(highs))
     for start, high in zip(range(0, len(degrees), lanes), highs):
         counts = (low | high * ones).to_bytes(lanes * width, "little").translate(_POPCOUNT)
@@ -191,27 +201,15 @@ def subset_planes(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND):
     return sizes, degrees
 
 
-def _complement_table(n: int) -> bytes:
-    # translate table taking each byte x <= n to n - x
-    return bytes(range(n, -1, -1)).ljust(256, b"\0")
+def subset_probe(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
+    """The monotone test clear(k): no S has |S| > k|N(S)| (see subset_planes).
 
-
-def subset_probe(D: Deltoid, side: str, subset_bound: int = DEFAULT_SUBSET_BOUND):
-    """The monotone test clear(k) behind a partition number, over the subset planes.
-
-    side "left" (lambda): no S has |S| > k|delta(S)|; "right" (rho): no S
-    has n - |delta(S)| > k(n - |S|).  The caller makes k = n clear.
-    Refuses instances above subset_bound.
+    lambda's test on D.rows, rho's on D.columns (see partition.rho).  The
+    caller makes k = n clear.  Refuses n above subset_bound.
     """
-    n = D.size
-    sizes, degrees = subset_planes(D, subset_bound)
-    if side == "left":
-        fixed, plane = sizes, degrees
-    else:
-        flip = _complement_table(n)
-        fixed, plane = degrees.translate(flip), sizes.translate(flip)
-    del sizes, degrees
-    fixed = int.from_bytes(fixed, "little")
+    n = len(masks)
+    sizes, plane = subset_planes(masks, subset_bound)
+    fixed = int.from_bytes(sizes, "little")
     # clear(k): no lane of fixed + T_k[plane] reaches 128, where
     # T_k[y] = 127 - min(k * y, n).  A lane of fixed holds some x <= n, so
     # it reaches 128 exactly when x > k * y.
@@ -233,8 +231,8 @@ def deficiency_by_subsets(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) 
     subset_bound.
     """
     n = D.size
-    sizes, degrees = subset_planes(D, subset_bound)
-    rest = degrees.translate(_complement_table(n))
+    sizes, degrees = subset_planes(D.rows, subset_bound)
+    rest = degrees.translate(bytes(range(n, -1, -1)).ljust(256, b"\0"))  # x -> n - x
     del degrees
     lanes = (int.from_bytes(sizes, "little") + int.from_bytes(rest, "little")).to_bytes(
         len(sizes), "little"

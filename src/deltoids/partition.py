@@ -23,6 +23,7 @@ from .matching import (
     PartialMatching,
     Verdict,
     assign,
+    slot_matchings,
     subset_probe,
     verify_matching,
 )
@@ -84,13 +85,15 @@ def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     math.inf when some element of B stabilizes A; otherwise the maximum of
     ceil(|U_S| / (|A| - |S|)) over proper subsets S, which is at least 1.
     Since ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at
-    which no proper S has n - |delta(S)| > k(n - |S|), found by a doubling
-    search over the subset planes.  S = A never counts: rho finite makes its
-    delta(S) all of B.
+    which no proper S has n - |delta(S)| > k(n - |S|), or equally no T in B
+    has |T| > k|N(T)|, N(T) the a with an edge into T: lambda's test on the
+    columns, found by a doubling search over their subset planes.  Given S,
+    take T = U_S; given T, take S = A \\ N(T), proper unless T holds a zero
+    column, which makes rho infinite and is checked first.
     """
     if _rho_is_infinite(D):
         return math.inf
-    return _least_k(subset_probe(D, "right", subset_bound), D.size)
+    return _least_k(subset_probe(D.columns, subset_bound), D.size)
 
 
 def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
@@ -99,62 +102,45 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
     Always finite since delta(S) is nonempty for nonempty S.  Since
     ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at which
     no nonempty S has |S| > k|delta(S)|, found by a doubling search over
-    the subset planes.
+    the subset planes of the rows.
     """
-    clear = subset_probe(D, "left", subset_bound)
-    # delta(S) is the OR of the rows of S, so it is empty for some nonempty
-    # S exactly when a row is 0; otherwise k = n clears every S
+    clear = subset_probe(D.rows, subset_bound)
+    # delta(S), the OR of S's rows, is empty for some nonempty S iff a row is
+    # 0; otherwise k = n clears every S.  No row is 0: a + B inside A means
+    # a + B = A (n elements each), so a = a + b for some b, and 0 = b is in B
     if 0 in D.rows:
         raise InternalInconsistencyError("nonempty S with empty neighborhood")
     return _least_k(clear, D.size)
 
 
-def _split_classes(D: Deltoid, holders, k: int, side: str) -> AdmissiblePartition:
-    # Slot h-th holder of each target into class h; each class sees every
-    # target at most once, so its pairs form a valid partial matching.
-    a_elems = D.A.elements
-    b_elems = D.B.elements
-    n = D.size
-    buckets: list[list[tuple]] = [[] for _ in range(k)]
-    for target, sources in enumerate(holders):
-        for slot, src in enumerate(sorted(sources)):
-            if side == "left":
-                buckets[slot].append((a_elems[src], b_elems[target]))
-            else:
-                buckets[slot].append((a_elems[target], b_elems[src]))
-    group = D.A.group
-    built = []
-    for pairs in buckets:
-        pairs.sort()
-        matching = PartialMatching(tuple(pairs), n - len(pairs))
-        covered = [p[0] for p in pairs] if side == "left" else [p[1] for p in pairs]
-        built.append((GroupSet(group, tuple(sorted(covered))), matching))
-    built.sort(key=lambda item: (-len(item[0].elements), item[0].elements))
-    return AdmissiblePartition(
-        side=side,
-        classes=tuple(cls for cls, _ in built),
-        matchings=tuple(m for _, m in built),
+def _partition(D: Deltoid, k: int, side: str) -> AdmissiblePartition | None:
+    # assign the rows (left) or columns (right) at capacity k; each class is
+    # the sorted a's (left) or b's (right) of one slot_matchings slot
+    if k < 1:
+        raise InvalidParametersError("k must be positive")
+    if side == "left":
+        holders, unplaced = D.row_assignment if k == 1 else assign(D.rows, k)
+    else:
+        holders, unplaced = assign(D.columns, k)
+    if unplaced:
+        return None
+    pick = 0 if side == "left" else 1
+    built = sorted(
+        ((tuple(sorted(p[pick] for p in m.pairs)), m) for m in slot_matchings(D, holders, k, side)),
+        key=lambda item: (-len(item[0]), item[0]),
     )
+    classes = tuple(GroupSet(D.A.group, elems) for elems, _ in built)
+    return AdmissiblePartition(side, classes, tuple(m for _, m in built))
 
 
 def partition_left(D: Deltoid, k: int) -> AdmissiblePartition | None:
     """Split A into k disjoint left-admissible classes, or None if infeasible."""
-    if k < 1:
-        raise InvalidParametersError("k must be positive")
-    holders, unplaced = D.row_assignment if k == 1 else assign(D.rows, k)
-    if unplaced:
-        return None
-    return _split_classes(D, holders, k, "left")
+    return _partition(D, k, "left")
 
 
 def partition_right(D: Deltoid, k: int) -> AdmissiblePartition | None:
     """Split B into k disjoint right-admissible classes, or None if infeasible."""
-    if k < 1:
-        raise InvalidParametersError("k must be positive")
-    holders, unplaced = assign(D.columns, k)
-    if unplaced:
-        return None
-    return _split_classes(D, holders, k, "right")
+    return _partition(D, k, "right")
 
 
 def validate_partition(D: Deltoid, p: AdmissiblePartition) -> Verdict:

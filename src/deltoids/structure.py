@@ -24,11 +24,10 @@ from .groups import (
     elements_of,
     enumerate_subgroups,  # noqa: F401  unused here; perfbench/replay.py wraps it by name
     first_subgroup_of_order,
-    sums_in,
 )
 from .matching import Verdict
 from .sets import Deltoid
-from .transform import subgroup_terms
+from .transform import _escape, subgroup_terms
 
 
 class ObstructionWitness(_Value):
@@ -104,8 +103,7 @@ def verify_witness(D: Deltoid, w: ObstructionWitness) -> Verdict:
     k = len(group.torsion)
     if any(any(r[k:]) for r in w.R.elements):
         return Verdict(False, "R generates an infinite subgroup")
-    full = (1 << len(w.S.elements)) - 1
-    if any(row != full for row in sums_in(group, w.R.elements, w.S.elements, w.S.elements)):
+    if _escape(w.S, w.R, w.S.elements) is not None:
         return Verdict(False, "S is not a union of cosets of the subgroup R generates")
     if not len(w.Y.elements) < len(w.R.elements) - w.level:
         return Verdict(

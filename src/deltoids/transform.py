@@ -84,14 +84,19 @@ def e_transform_step(
 
 
 def _escape(S: GroupSet, R: GroupSet, E) -> tuple[Element, Element] | None:
-    # First (e, r) in canonical order with e*r outside the elements E; None
-    # when S*R lies inside.  With E = S, this is an e-transform witness.
-    full = (1 << len(R.elements)) - 1
-    for e, row in zip(S.elements, sums_in(S.group, S.elements, R.elements, E)):
-        if row != full:
-            # the lowest clear bit of row
-            return e, R.elements[((row + 1) & ~row).bit_length() - 1]
-    return None
+    # First (e, r) in canonical order with e*r outside the elements E, or
+    # None; with E = S, an e-transform witness.  e is the lowest bit missed
+    # by some sums_in row over S per r, and r the first r whose row misses it.
+    full = (1 << len(S.elements)) - 1
+    rows = sums_in(S.group, R.elements, S.elements, E)
+    missed = 0
+    for row in rows:
+        missed |= full ^ row
+    if not missed:
+        return None
+    low = missed & -missed
+    r = next(r for r, row in zip(R.elements, rows) if row & low == 0)
+    return S.elements[low.bit_length() - 1], r
 
 
 def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet]:

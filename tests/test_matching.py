@@ -187,7 +187,7 @@ def test_subset_planes_against_or_of_rows():
     for n in range(1, 11):
         for _ in range(5):
             rows = [rng.getrandbits(n) for _ in range(n)]
-            sizes, degrees = subset_planes(rows_deltoid(rows))
+            sizes, degrees = subset_planes(rows_deltoid(rows).rows)
             assert len(sizes) == len(degrees) == 1 << n
             for m in range(1 << n):
                 expected = 0
@@ -203,7 +203,7 @@ def test_subset_planes_across_blocks():
     rng = random.Random(12)
     for n in (16, 17, 18):
         rows = [rng.getrandbits(n) for _ in range(n)]
-        sizes, degrees = subset_planes(rows_deltoid(rows))
+        sizes, degrees = subset_planes(rows_deltoid(rows).rows)
         assert len(sizes) == len(degrees) == 1 << n
         table = [0] * (1 << n)
         for m in range(1, 1 << n):

@@ -30,9 +30,11 @@ from deltoids import (
     u_set,
     validate_partition,
 )
+from deltoids.matching import subset_probe
 from deltoids.partition import _least_k
 from helpers import (
     Z6,
+    Z2xZ,
     left_inequality_holds,
     random_instance,
     right_inequality_holds,
@@ -197,6 +199,45 @@ def test_max_matching_and_one_class_partition_share_one_search():
         left = repr(partition_left(D2, 1))
         partition_first = repr(max_matching(D2)), left
         assert matching_first == partition_first == expected
+
+
+def test_subset_probes_agree_with_the_inequalities_for_every_k():
+    # rho's probe is lambda's on the columns: some T in B has |T| > k|N(T)|
+    # iff some proper S has n - |delta(S)| > k(n - |S|); a zero column (rho
+    # infinite) fails every k on both sides
+    rng = random.Random(17)
+    seeded = [random_instance(rng, group, max_size=8) for group in (Z12, Z2xZ) for _ in range(20)]
+    infinite = 0
+    for D in [*exhaustive_instances(Z6, (1, 2, 3)), *seeded]:
+        left, right = subset_probe(D.rows), subset_probe(D.columns)
+        infinite += rho(D) is math.inf
+        for k in range(1, D.size + 1):
+            assert left(k) == left_inequality_holds(D, k)
+            assert right(k) == right_inequality_holds(D, k)
+    assert infinite > 0
+
+
+def test_certificates_come_out_in_canonical_order():
+    # every class is a canonically sorted set and every certificate's pairs
+    # are sorted, on both sides and for every feasible k
+    rng = random.Random(29)
+    seen_right = 0
+    for group in (Z12, Z2xZ):
+        for _ in range(60):
+            D = random_instance(rng, group, max_size=8)
+            if deficiency(D) == 0:
+                assert max_matching(D) == partition_left(D, 1).matchings[0]
+            parts = [partition_left(D, k) for k in range(lambda_(D), D.size + 1)]
+            r = rho(D)
+            if r is not math.inf:
+                parts += [partition_right(D, k) for k in range(r, D.size + 1)]
+                seen_right += 1
+            for part in parts:
+                assert validate_partition(D, part)
+                for cls, matching in zip(part.classes, part.matchings):
+                    assert cls.elements == GroupSet.of(group, cls.elements).elements
+                    assert list(matching.pairs) == sorted(matching.pairs)
+    assert seen_right > 20
 
 
 def test_partition_feasibility_matches_inequalities_and_thresholds():
