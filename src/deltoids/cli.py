@@ -62,15 +62,12 @@ def _matching_cert(m: PartialMatching) -> dict:
     return {"kind": "matching", "pairs": m.pairs, "defect": m.defect}
 
 
+_WITNESS_PARTS = ("S", "R", "Y", "Z")  # A = S + Y, B = R + Z
+
+
 def _witness_cert(w: ObstructionWitness) -> dict:
-    return {
-        "kind": "witness",
-        "S": w.S.elements,
-        "R": w.R.elements,
-        "Y": w.Y.elements,
-        "Z": w.Z.elements,
-        "level": w.level,
-    }
+    parts = {name: getattr(w, name).elements for name in _WITNESS_PARTS}
+    return {"kind": "witness", "level": w.level, **parts}
 
 
 def _partition_cert(p: AdmissiblePartition) -> dict:
@@ -175,7 +172,7 @@ def _parse_witness(group, obj: dict) -> ObstructionWitness:
         name: GroupSet.of(
             group, _elements(_require(obj, name, "certificate"), f"certificate: field {name!r}")
         )
-        for name in ("S", "R", "Y", "Z")
+        for name in _WITNESS_PARTS
     }
     return ObstructionWitness(level=_count(obj, "level"), **parts)
 
@@ -253,12 +250,7 @@ def _cmd_witness(deltoid: Deltoid, args) -> tuple:
     results = {
         "present": True,
         "ell": args.ell,
-        "sizes": {
-            "S": len(witness.S.elements),
-            "R": len(witness.R.elements),
-            "Y": len(witness.Y.elements),
-            "Z": len(witness.Z.elements),
-        },
+        "sizes": {name: len(getattr(witness, name).elements) for name in _WITNESS_PARTS},
     }
     return 0, results, {"witness": _witness_cert(witness)}
 

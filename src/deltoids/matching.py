@@ -157,6 +157,12 @@ def partial_matching_with_defect(D: Deltoid, d: int) -> PartialMatching | None:
     return PartialMatching(best.pairs[:keep], d)
 
 
+def _check_subset_bound(n: int, subset_bound: int) -> int:
+    if n > subset_bound:
+        raise ResourceLimitError(f"|A| = {n} exceeds subset sweep bound {subset_bound}")
+    return n
+
+
 def subset_planes(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
     """Sizes and neighborhood sizes of all 2^n subsets of n masks, one byte per subset.
 
@@ -174,9 +180,7 @@ def subset_planes(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
     to n + 127 in subset_probe, so no lane carries into the next while
     n <= 127, far past any sweep that fits in memory.
     """
-    n = len(masks)
-    if n > subset_bound:
-        raise ResourceLimitError(f"|A| = {n} exceeds subset sweep bound {subset_bound}")
+    n = _check_subset_bound(len(masks), subset_bound)
     sizes = bytearray(1)
     for _ in range(n):
         sizes += sizes.translate(_PLUS_ONE)

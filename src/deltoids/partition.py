@@ -22,6 +22,7 @@ from .matching import (
     DEFAULT_SUBSET_BOUND,
     PartialMatching,
     Verdict,
+    _check_subset_bound,
     assign,
     slot_matchings,
     subset_probe,
@@ -29,7 +30,7 @@ from .matching import (
 )
 from .sets import Deltoid
 from .structure import ObstructionWitness, verify_witness
-from .transform import subgroup_terms
+from .transform import improving_terms
 
 
 class AdmissiblePartition(_Value):
@@ -93,6 +94,7 @@ def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     """
     if _rho_is_infinite(D):
         return math.inf
+    _check_subset_bound(D.size, subset_bound)  # before D.columns is built
     return _least_k(subset_probe(D.columns, subset_bound), D.size)
 
 
@@ -188,26 +190,20 @@ def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
     """Finite rho as a maximum over the subgroups of subgroup_terms.
 
     Each H contributes ceil(|B n H| / (|A| - |full H-cosets in A|)); the
-    floor of 1 comes from the empty-S pair.  Requires rho finite.
-
-    Reads only the two counts of each term.  A supergroup of H has at most
-    |full(H)| - 1 elements of B and at least n - |full(H)| elements of A
-    outside its full cosets (subgroup_terms), so when |full(H)| < n, H is
-    not grown once ceil((|full(H)| - 1) / (n - |full(H)|)) <= best.
+    floor of 1 comes from the empty-S pair.  Requires rho finite.  Reads
+    only the two counts of each term (improving_terms).
     """
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
     n = D.size
+
+    def score(full, inside):
+        return math.inf if full >= n else _ceil_div(inside, n - full)
+
     best = 1
-
-    def grows(f):
-        return f >= n or _ceil_div(f - 1, n - f) > best
-
-    for full, inside in subgroup_terms(D, order_bound, grows):
-        denom = n - len(full)
-        if denom <= 0:
+    for best, _, _ in improving_terms(D, score, 1, order_bound):
+        if best == math.inf:
             raise InternalInconsistencyError("A is a union of cosets meeting B")
-        best = max(best, _ceil_div(len(inside), denom))
     return best
 
 
@@ -215,20 +211,17 @@ def lambda_lower_bound(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> in
     """Subgroup-indexed lower bound for lambda; equality is not guaranteed.
 
     Each H contributes ceil(|full H-cosets in A| / (|B| - |B n H|)), the
-    floor being 1.  Reads only the two counts of each term.  A supergroup
-    of H has at most |full(H)| full-coset elements and at most
-    |full(H)| - 1 elements of B (subgroup_terms), so H is not grown once
-    ceil(|full(H)| / (n - |full(H)| + 1)) <= best.
+    floor being 1.  Reads only the two counts of each term (improving_terms).
     """
     n = D.size
+
+    def score(full, inside):
+        return math.inf if inside >= n else _ceil_div(full, n - inside)
+
     best = 1
-    for full, inside in subgroup_terms(
-        D, order_bound, lambda f: _ceil_div(f, n - f + 1) > best
-    ):
-        denom = n - len(inside)
-        if denom <= 0:
+    for best, _, _ in improving_terms(D, score, 1, order_bound):
+        if best == math.inf:
             raise InternalInconsistencyError("B inside a subgroup with a full coset in A")
-        best = max(best, _ceil_div(len(full), denom))
     return best
 
 

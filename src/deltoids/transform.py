@@ -136,8 +136,6 @@ def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND, grows=Non
     Each part is a sized view of its elements, decoded only when iterated.
     grows(|full H-cosets inside A|), if given, is asked after each term (and
     for the trivial subgroup, with |A|) whether to search H's supergroups.
-    A supergroup H' of H has |H'| <= |full(H')| <= |full(H)| and
-    |B n H'| <= |H'| - 1 (the identity is not in B), which bounds its score.
     """
     terms = _search_subgroups(D.A.group, order_bound, D.B.elements, D.A.elements, grows)
     next(terms)  # the trivial subgroup: full = A, B n H empty
@@ -145,17 +143,29 @@ def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND, grows=Non
         yield full, inside
 
 
+def improving_terms(D: Deltoid, score, best, order_bound: int = DEFAULT_ORDER_BOUND):
+    """Yield (value, full, inside) per subgroup term whose value beats best and all before.
+
+    value = score(|full H-cosets inside A|, |B n H|), for a score that does
+    not decrease in either count.  A supergroup H' of H has
+    |H'| <= |full(H')| <= |full(H)| and |B n H'| <= |H'| - 1 (the identity
+    is not in B), so it scores at most score(|full(H)|, |full(H)| - 1).  H
+    is not grown once that is at most best, so no term that could beat best
+    is lost: the yields are those of the unpruned scan.
+    """
+    for full, inside in subgroup_terms(D, order_bound, lambda f: score(f, f - 1) > best):
+        if (value := score(len(full), len(inside))) > best:
+            best = value
+            yield value, full, inside
+
+
 def _best_term(D: Deltoid, order_bound: int):
     # (value, full, inside) of the canonically first term scoring highest,
-    # |full(H)| - n + |B n H|; the trivial subgroup's (0, A, ()) unless beaten.
-    # H is not grown once 2|full(H)| - n - 1 <= value (subgroup_terms).  This
-    # prunes ties and still keeps the first maximiser: one lost under an
-    # ungrown H scores at most the value at H, held by a term no later than H.
+    # |full(H)| - n + |B n H|; the trivial subgroup's (0, A, ()) unless beaten
     n = D.size
     best = 0, D.A, ()
-    for full, inside in subgroup_terms(D, order_bound, lambda f: 2 * f - n - 1 > best[0]):
-        if (score := len(full) - n + len(inside)) > best[0]:
-            best = score, full, inside
+    for best in improving_terms(D, lambda f, inside: f - n + inside, 0, order_bound):
+        pass
     return best
 
 
@@ -166,8 +176,7 @@ def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) 
     the trivial subgroup contributes 0, so the result is never negative.
     Only the stabilized pairs (S = full coset union, R = (B n H) + identity)
     can attain the pair-formula maximum, which makes this exact.  Reads
-    only the two counts of each term, through the value-bounded search
-    best_stabilizer_pair runs too.
+    only the two counts of each term, as best_stabilizer_pair does.
     """
     return _best_term(D, order_bound)[0]
 

@@ -278,6 +278,9 @@ def test_construct(capsys):
     code, _, err = run_json(capsys, "construct", "--group", "Z7", "--n", "3", "--ell", "0")
     assert code == 2 and "nontrivial" in err
 
+    code, out, err = run_cli(capsys, "construct", "--group", "Z2xZ", "--n", "3", "--ell", "0")
+    assert (code, out, err) == (2, "", "deltoids: existence search needs a finite group\n")
+
 
 def test_chowla(capsys):
     code, report, _ = run_json(capsys, "chowla", FIXTURE)
@@ -451,6 +454,26 @@ def test_verify_rejects_non_object_certificates(capsys, tmp_path):
     string.write_text(json.dumps("kind"), encoding="utf-8")
     code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(string))
     assert _one_line_error(code, out, err) and "top level" in err
+
+
+@pytest.mark.parametrize(
+    "cert, message",
+    [
+        ({"kind": "witness", "S": 5, "R": [], "Y": [], "Z": [], "level": 0},
+         "certificate: field 'S' must be an array of elements"),
+        ({"kind": "matching", "pairs": [[[0], [1], [2]]], "defect": 7},
+         "certificate: each pair must be [a, b]"),
+        ({"kind": "bogus"}, "certificate: unknown kind 'bogus'"),
+        ({"certificate": {}}, "certificate file has neither 'kind' nor 'certificates'"),
+        ({"certificates": [{"kind": "matching"}]}, "'certificates' must be an object"),
+    ],
+    ids=["witness-part", "pair-length", "kind", "no-kind", "certificates-array"],
+)
+def test_verify_refusals_are_one_line(capsys, tmp_path, cert, message):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(path))
+    assert (code, out, err) == (2, "", f"deltoids: {message}\n")
 
 
 def test_verify_rejects_empty_certificates(capsys, tmp_path):

@@ -8,7 +8,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "deltoids"
 # the element encoding behind the bitmask kernel, private to groups.py
 MASK_INTERNALS = {"_Masks", "_saturate", "_MASK_BITS_PER_ELEMENT", "_check_dimension"}
 # the byte-plane layout of the subset sweep, private to matching.py
-PLANE_INTERNALS = {"subset_planes", "_complement_table"}
+PLANE_INTERNALS = {"subset_planes", "_POPCOUNT", "_PLUS_ONE", "_BLOCK_ROWS"}
 
 
 def test_only_groups_touches_the_mask_encoding():

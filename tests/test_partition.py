@@ -8,6 +8,7 @@ import pytest
 
 from deltoids import (
     GroupSet,
+    GroupSpec,
     InfiniteRhoError,
     InvalidParametersError,
     InvalidWitnessError,
@@ -75,6 +76,15 @@ def test_rho_infinite_when_b_stabilizes_a():
 def test_rho_sweep_bound():
     with pytest.raises(ResourceLimitError):
         rho(golden_deltoid(), subset_bound=7)
+
+
+def test_rho_refuses_before_building_the_columns():
+    # the sweep bound is checked before D.columns, a full transposition
+    group = GroupSpec((97,))
+    D = build_deltoid(gset(group, cyc(*range(23))), gset(group, cyc(*range(1, 24))))
+    with pytest.raises(ResourceLimitError, match=r"^\|A\| = 23 exceeds subset sweep bound 22$"):
+        rho(D)
+    assert "columns" not in D.__dict__
 
 
 def test_lambda_sweep_bound():

@@ -1,5 +1,6 @@
 """Dyson e-transform, stabilization, and the subgroup route to deficiency."""
 
+import math
 import random
 import time
 
@@ -33,7 +34,7 @@ from deltoids import (
     partial_matching_with_defect,
     stabilize,
 )
-from deltoids import groups, partition, structure, transform
+from deltoids import groups, partition, transform
 from deltoids.groups import DEFAULT_ORDER_BOUND
 import helpers
 from helpers import (
@@ -41,6 +42,7 @@ from helpers import (
     Z2xZ2,
     Z6,
     Z12,
+    ceil_div,
     coset_heavy_instance,
     cyc,
     exhaustive_instances,
@@ -331,10 +333,9 @@ def test_subgroup_search_agrees_with_the_lattice_scan(monkeypatch):
         answers = _subgroup_answers(D)
         bound = lambda_lower_bound(D)
         with monkeypatch.context() as patched:
-            for module in (transform, structure, partition):
-                patched.setattr(module, "subgroup_terms", reference_subgroup_terms)
+            patched.setattr(transform, "subgroup_terms", reference_subgroup_terms)
             assert _subgroup_answers(D) == answers
-            patched.setattr(partition, "subgroup_terms", _reference_terms_with_full_cosets)
+            patched.setattr(transform, "subgroup_terms", _reference_terms_with_full_cosets)
             assert lambda_lower_bound(D) == bound
 
 
@@ -383,6 +384,33 @@ def test_bounded_search_agrees_with_the_unbounded_reference():
         assert _bounded_answers(D) == reference_subgroup_answers(D)
         tied += _best_terms(D) > 1
     assert tied >= 40
+
+
+def _scores(D):
+    # (score, floor) of the four subgroup formulas: deficiency and witness, rho, lambda
+    n = D.size
+    yield (lambda f, inside: f - n + inside), 0
+    yield (lambda f, inside: f - n + inside), max(deficiency(D) - 1, 0)
+    yield (lambda f, inside: math.inf if f >= n else ceil_div(inside, n - f)), 1
+    yield (lambda f, inside: math.inf if inside >= n else ceil_div(f, n - inside)), 1
+
+
+def test_improving_terms_yields_the_improvements_of_the_full_scan():
+    # the value bound grows fewer subgroups, yet every term that beats the
+    # floor and all before it comes out, as from the search that grows them all
+    for D in [*_search_instances(), *_coset_heavy_instances()]:
+        terms = reference_search_subgroups(
+            D.A.group, DEFAULT_ORDER_BOUND, D.B.elements, D.A.elements
+        )[1:]
+        for score, floor in _scores(D):
+            expected, best = [], floor
+            for inside, full in terms:
+                if (value := score(len(full), len(inside))) > best:
+                    best = value
+                    expected.append((value, tuple(full), tuple(inside)))
+            found = [(value, tuple(full), tuple(inside))
+                     for value, full, inside in transform.improving_terms(D, score, floor)]
+            assert found == expected
 
 
 def test_subgroup_route_in_z2_to_the_8():
