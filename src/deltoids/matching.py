@@ -3,9 +3,10 @@
 Two independent routes to the same number live here: an augmenting-path
 maximum matching over the adjacency, and the definitional maximum of
 |S| - |delta(S)| over all 2^|A| subsets (the defect form of Hall's
-condition), read off the one subset sweep: two byte planes holding |S| and
-|N(S)| for every subset S of a list of masks (the rows here and for lambda,
-the columns for rho).  The two routes are cross-checked in the test suite.
+condition), folded over the one subset sweep: blocks of 2^16 subsets, each
+two byte planes holding |S| and |N(S)| for its subsets S of a list of masks
+(the rows here and for lambda, the columns for rho), of which a reader
+keeps one number.  The two routes are cross-checked in the test suite.
 The augmenting search is the capacity-k assign, which also builds the
 admissible partitions.  Every certificate (matching pairs, partition
 classes) is decoded by slot_matchings from its Kuhn order; a call that
@@ -21,7 +22,7 @@ from .sets import Deltoid
 
 DEFAULT_SUBSET_BOUND = 22
 
-_BLOCK_ROWS = 16  # subset_planes builds its degrees 2^16 subsets at a time
+_BLOCK_ROWS = 16  # subset_blocks yields 2^16 subsets per block
 _POPCOUNT = bytes(map(int.bit_count, range(256)))
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
@@ -163,30 +164,27 @@ def _check_subset_bound(n: int, subset_bound: int) -> int:
     return n
 
 
-def subset_planes(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
-    """Sizes and neighborhood sizes of all 2^n subsets of n masks, one byte per subset.
+def subset_blocks(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
+    """Sizes and neighborhood sizes of all 2^n subsets of n masks, by blocks.
 
-    Returns (sizes, degrees): sizes[m] = |S| and degrees[m] = |N(S)|, where S
-    is the positions set in m and N(S) the OR of their masks.  degrees is
-    built in blocks of 2^16 subsets: a block's N(S) are the lanes of one
-    int, grown by doubling over the first 16 masks and ORed with the OR of
-    the block's remaining masks copied into every lane; the lanes are
-    popcounted a byte at a time through a table and their byte counts
-    summed.  sizes is built by doubling, each half the one before plus one.
-    Refuses n above subset_bound.
+    Yields (sizes, degrees) for 2^16 subsets at a time in subset order, one
+    byte each: |S| and |N(S)|, S the positions set in the subset's index and
+    N(S) the OR of their masks.  A block's N(S) are the lanes of one int,
+    grown by doubling over the first 16 masks and ORed with the OR of the
+    block's other masks in every lane, popcounted a byte at a time through a
+    table; its sizes are those of the first 16 masks plus the count of the
+    others.  Only one block is held at a time.  Refuses n above subset_bound
+    at the call, not at the first block.
 
-    Both planes hold values up to n.  Their readers here add two planes lane
-    by lane as one int, with sums up to 2n in deficiency_by_subsets and up
-    to n + 127 in subset_probe, so no lane carries into the next while
-    n <= 127, far past any sweep that fits in memory.
+    Both planes hold values up to n.  Their readers add them lane by lane as
+    one int, sums up to 2n in deficiency_by_subsets and n + 127 in
+    subset_least_k, so no lane carries into the next while n <= 127.
     """
     n = _check_subset_bound(len(masks), subset_bound)
-    sizes = bytearray(1)
-    for _ in range(n):
-        sizes += sizes.translate(_PLUS_ONE)
     width = (n + 7) // 8  # bytes per lane, enough for one N(S)
-    lanes, ones, low = 1, 1, 0
+    head, lanes, ones, low = bytearray(1), 1, 1, 0
     for mask in masks[:_BLOCK_ROWS]:
+        head += head.translate(_PLUS_ONE)
         shift = lanes * 8 * width
         low |= (low | mask * ones) << shift
         ones |= ones << shift
@@ -194,57 +192,59 @@ def subset_planes(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
     highs = [0]
     for mask in masks[_BLOCK_ROWS:]:
         highs += [high | mask for high in highs]
-    degrees = bytearray(lanes * len(highs))
-    for start, high in zip(range(0, len(degrees), lanes), highs):
-        counts = (low | high * ones).to_bytes(lanes * width, "little").translate(_POPCOUNT)
-        if width > 1:
-            # at most n <= 255 per lane, so the byte sums never carry
-            total = sum(int.from_bytes(counts[i::width], "little") for i in range(width))
-            counts = total.to_bytes(lanes, "little")
-        degrees[start : start + lanes] = counts
-    return sizes, degrees
+
+    def blocks():
+        for tail, high in enumerate(highs):
+            counts = (low | high * ones).to_bytes(lanes * width, "little").translate(_POPCOUNT)
+            if width > 1:
+                # at most n <= 255 per lane, so the byte sums never carry
+                total = sum(int.from_bytes(counts[i::width], "little") for i in range(width))
+                counts = total.to_bytes(lanes, "little")
+            plus = tail.bit_count()  # how many of the other masks each S of the block holds
+            yield head.translate(bytes(range(plus, 256)).ljust(256)) if plus else head, counts
+
+    return blocks()
 
 
-def subset_probe(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
-    """The monotone test clear(k): no S has |S| > k|N(S)| (see subset_planes).
+def subset_least_k(masks, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
+    """The least k in [1, n] at which no S has |S| > k|N(S)| (see subset_blocks).
 
-    lambda's test on D.rows, rho's on D.columns (see partition.rho).  The
-    caller makes k = n clear.  Refuses n above subset_bound.
+    lambda's test on D.rows, rho's on D.columns.  It is monotone in k and the
+    caller makes k = n clear, so k only grows: a block failing at k is probed
+    at k + 1, at most blocks + n - 1 probes in all.  Refuses n above subset_bound.
     """
     n = len(masks)
-    sizes, plane = subset_planes(masks, subset_bound)
-    fixed = int.from_bytes(sizes, "little")
-    # clear(k): no lane of fixed + T_k[plane] reaches 128, where
-    # T_k[y] = 127 - min(k * y, n).  A lane of fixed holds some x <= n, so
-    # it reaches 128 exactly when x > k * y.
-    pad = bytes([127 - n])
-
-    def clear(k: int) -> bool:
-        table = bytes(range(127, 126 - n, -k)).ljust(256, pad)
-        lanes = fixed + int.from_bytes(plane.translate(table), "little")
-        return lanes.to_bytes(len(plane), "little").isascii()
-
-    return clear
+    # clear(k): no lane of sizes + T_k[degrees], T_k[y] = 127 - min(k * y, n),
+    # reaches 128; a lane of sizes holds some x <= n, so it does iff x > k * y
+    pad, k = bytes([127 - n]), 1
+    for sizes, degrees in subset_blocks(masks, subset_bound):
+        fixed = int.from_bytes(sizes, "little")
+        while k < n:
+            table = bytes(range(127, 126 - n, -k)).ljust(256, pad)
+            lanes = fixed + int.from_bytes(degrees.translate(table), "little")
+            if lanes.to_bytes(len(degrees), "little").isascii():
+                break
+            k += 1
+    return k
 
 
 def deficiency_by_subsets(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
     """Definitional oracle: max over all S of |S| - |delta(S)|.
 
-    The largest lane of |S| + (n - |delta(S)|), at least n from S empty,
-    found by testing the byte values from 2n down; refuses instances above
-    subset_bound.
+    The largest lane of |S| + (n - |delta(S)|), at least n from S empty: a
+    running best, which each block of subset_blocks raises to the largest
+    value it holds above it.  Refuses instances above subset_bound.
     """
-    n = D.size
-    sizes, degrees = subset_planes(D.rows, subset_bound)
-    rest = degrees.translate(bytes(range(n, -1, -1)).ljust(256, b"\0"))  # x -> n - x
-    del degrees
-    lanes = (int.from_bytes(sizes, "little") + int.from_bytes(rest, "little")).to_bytes(
-        len(sizes), "little"
-    )
-    top = 2 * n
-    while top not in lanes:
-        top -= 1
-    return top - n
+    n, best = D.size, D.size
+    rest = bytes(range(n, -1, -1)).ljust(256, b"\0")  # x -> n - x
+    for sizes, degrees in subset_blocks(D.rows, subset_bound):
+        lanes = int.from_bytes(sizes, "little") + int.from_bytes(degrees.translate(rest), "little")
+        lanes = lanes.to_bytes(len(sizes), "little")
+        for top in range(2 * n, best, -1):
+            if top in lanes:
+                best = top
+                break
+    return best - n
 
 
 def verify_matching(D: Deltoid, f: PartialMatching) -> Verdict:

@@ -25,7 +25,7 @@ from .matching import (
     _check_subset_bound,
     assign,
     slot_matchings,
-    subset_probe,
+    subset_least_k,
     verify_matching,
 )
 from .sets import Deltoid
@@ -88,14 +88,14 @@ def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
     Since ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at
     which no proper S has n - |delta(S)| > k(n - |S|), or equally no T in B
     has |T| > k|N(T)|, N(T) the a with an edge into T: lambda's test on the
-    columns, found by a doubling search over their subset planes.  Given S,
+    columns, found by subset_least_k over their subset sweep.  Given S,
     take T = U_S; given T, take S = A \\ N(T), proper unless T holds a zero
     column, which makes rho infinite and is checked first.
     """
     if _rho_is_infinite(D):
         return math.inf
     _check_subset_bound(D.size, subset_bound)  # before D.columns is built
-    return _least_k(subset_probe(D.columns, subset_bound), D.size)
+    return subset_least_k(D.columns, subset_bound)
 
 
 def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
@@ -103,16 +103,16 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
 
     Always finite since delta(S) is nonempty for nonempty S.  Since
     ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at which
-    no nonempty S has |S| > k|delta(S)|, found by a doubling search over
-    the subset planes of the rows.
+    no nonempty S has |S| > k|delta(S)|, found by subset_least_k over the
+    subset sweep of the rows.
     """
-    clear = subset_probe(D.rows, subset_bound)
+    _check_subset_bound(D.size, subset_bound)
     # delta(S), the OR of S's rows, is empty for some nonempty S iff a row is
     # 0; otherwise k = n clears every S.  No row is 0: a + B inside A means
     # a + B = A (n elements each), so a = a + b for some b, and 0 = b is in B
     if 0 in D.rows:
         raise InternalInconsistencyError("nonempty S with empty neighborhood")
-    return _least_k(clear, D.size)
+    return subset_least_k(D.rows, subset_bound)
 
 
 def _partition(D: Deltoid, k: int, side: str) -> AdmissiblePartition | None:

@@ -5,7 +5,7 @@ identity excluded from B.  Its edge set pairs a in A with b in B whenever
 a*b falls outside A.  The adjacency is stored one bitmask per row of A
 (bit j of row i set iff a_i * b_j lies outside A): the neighborhood of a
 subset of A is the OR of its rows, which is what the augmenting search and
-the one subset sweep (matching.subset_planes) read.
+the one subset sweep (matching.subset_blocks) read.
 """
 
 from __future__ import annotations

@@ -223,6 +223,21 @@ def test_partition_right_golden(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("command", ["rho", "lambda"])
+def test_sweep_routes_above_the_bound_exit_three(capsys, tmp_path, command):
+    # the sweep refuses n = 30 before any block; rho is finite here, so its
+    # infinite check cannot answer first
+    rng = random.Random(30)
+    path = write_instance(tmp_path, {
+        "group": "Z64",
+        "A": [[x] for x in rng.sample(range(64), 30)],
+        "B": [[x] for x in rng.sample(range(1, 64), 30)],
+    })
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out) == (3, "")
+    assert err == "deltoids: resource limit: |A| = 30 exceeds subset sweep bound 22\n"
+
+
 def test_partition_right_least_k_above_sweep_bound(capsys, tmp_path):
     # n = 30 is above the 2^n sweep bound; H = <3> forces
     # rho >= ceil(|B n H| / (|A| - |H|)) = ceil(19 / 10) = 2

@@ -19,7 +19,7 @@ from deltoids import (
     partial_matching_with_defect,
     verify_matching,
 )
-from deltoids.matching import assign, subset_planes
+from deltoids.matching import assign, subset_blocks
 from helpers import (
     Z2xZ,
     Z2xZ4,
@@ -182,12 +182,18 @@ def test_deficiency_by_subsets_bound():
         deficiency_by_subsets(golden_deltoid(), subset_bound=7)
 
 
+def joined_blocks(masks):
+    # the blocks of the streamed sweep, joined back into two 2^n-byte planes
+    sizes, degrees = zip(*subset_blocks(masks))
+    return b"".join(sizes), b"".join(degrees)
+
+
 def test_subset_planes_against_or_of_rows():
     rng = random.Random(11)
     for n in range(1, 11):
         for _ in range(5):
             rows = [rng.getrandbits(n) for _ in range(n)]
-            sizes, degrees = subset_planes(rows_deltoid(rows).rows)
+            sizes, degrees = joined_blocks(rows_deltoid(rows).rows)
             assert len(sizes) == len(degrees) == 1 << n
             for m in range(1 << n):
                 expected = 0
@@ -199,11 +205,11 @@ def test_subset_planes_against_or_of_rows():
 
 
 def test_subset_planes_across_blocks():
-    # the degree plane is built 2^16 subsets at a time
+    # the sweep yields 2^16 subsets per block, in subset order
     rng = random.Random(12)
     for n in (16, 17, 18):
         rows = [rng.getrandbits(n) for _ in range(n)]
-        sizes, degrees = subset_planes(rows_deltoid(rows).rows)
+        sizes, degrees = joined_blocks(rows_deltoid(rows).rows)
         assert len(sizes) == len(degrees) == 1 << n
         table = [0] * (1 << n)
         for m in range(1, 1 << n):

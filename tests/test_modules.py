@@ -7,8 +7,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "deltoids"
 
 # the element encoding behind the bitmask kernel, private to groups.py
 MASK_INTERNALS = {"_Masks", "_saturate", "_MASK_BITS_PER_ELEMENT", "_check_dimension"}
-# the byte-plane layout of the subset sweep, private to matching.py
-PLANE_INTERNALS = {"subset_planes", "_POPCOUNT", "_PLUS_ONE", "_BLOCK_ROWS"}
+# the byte-plane blocks of the subset sweep, private to matching.py
+PLANE_INTERNALS = {"subset_blocks", "_POPCOUNT", "_PLUS_ONE", "_BLOCK_ROWS"}
 
 
 def test_only_groups_touches_the_mask_encoding():
@@ -30,7 +30,7 @@ def test_only_groups_touches_the_mask_encoding():
 
 
 def test_only_matching_touches_the_subset_planes():
-    # partition's rho and lambda read the sweep through matching.subset_probe
+    # partition's rho and lambda read the sweep through matching.subset_least_k
     sources = sorted(SRC.glob("*.py"))
     assert "matching.py" in {path.name for path in sources}
     offenders = []

@@ -31,7 +31,7 @@ from deltoids import (
     u_set,
     validate_partition,
 )
-from deltoids.matching import subset_probe
+from deltoids.matching import subset_least_k
 from deltoids.partition import _least_k
 from helpers import (
     Z6,
@@ -214,16 +214,20 @@ def test_max_matching_and_one_class_partition_share_one_search():
 def test_subset_probes_agree_with_the_inequalities_for_every_k():
     # rho's probe is lambda's on the columns: some T in B has |T| > k|N(T)|
     # iff some proper S has n - |delta(S)| > k(n - |S|); a zero column (rho
-    # infinite) fails every k on both sides
+    # infinite) fails every k on both sides.  Both inequalities are monotone
+    # in k, so subset_least_k must stop at the first k where they hold.
     rng = random.Random(17)
     seeded = [random_instance(rng, group, max_size=8) for group in (Z12, Z2xZ) for _ in range(20)]
     infinite = 0
     for D in [*exhaustive_instances(Z6, (1, 2, 3)), *seeded]:
-        left, right = subset_probe(D.rows), subset_probe(D.columns)
         infinite += rho(D) is math.inf
-        for k in range(1, D.size + 1):
-            assert left(k) == left_inequality_holds(D, k)
-            assert right(k) == right_inequality_holds(D, k)
+        for masks, holds in ((D.rows, left_inequality_holds), (D.columns, right_inequality_holds)):
+            verdicts = [holds(D, k) for k in range(1, D.size + 1)]
+            assert verdicts == sorted(verdicts)
+            if verdicts[-1]:
+                assert subset_least_k(masks) == verdicts.index(True) + 1
+            else:
+                assert masks is D.columns and rho(D) is math.inf
     assert infinite > 0
 
 

@@ -1,10 +1,10 @@
 """The 2^|A| subset sweeps against verbatim copies of the mask-table scans.
 
-deficiency_by_subsets, rho and lambda_ read the byte planes of
-matching.subset_planes; the references in helpers.py scan the 8-byte
+deficiency_by_subsets, rho and lambda_ fold over the byte-plane blocks of
+matching.subset_blocks; the references in helpers.py scan the 8-byte
 neighborhood table they replaced.  Both must agree everywhere, including
-across the 2^16-subset blocks the degree plane is built in, on infinite
-rho and on the refusals.
+across the 2^16-subset blocks the sweep streams, on infinite rho and on
+the refusals.
 """
 
 import math
@@ -24,6 +24,7 @@ from deltoids import (
     lambda_,
     rho,
 )
+from deltoids.matching import subset_blocks
 from helpers import (
     Z2xZ,
     Z2xZ2,
@@ -134,14 +135,74 @@ def test_infinite_rho_returns_before_any_sweep():
     assert rho(rows_deltoid([0b01, 0b01]), subset_bound=0) is math.inf
 
 
-@pytest.mark.parametrize("sweep", [deficiency_by_subsets, rho, lambda_])
-def test_sweep_memory_at_n20(sweep):
-    D = cyclic_instance(random.Random(20), 64, 20, "uniform")
+def _sweep_peak(sweep, D):
     tracemalloc.start()
     try:
-        sweep(D)
+        answer = sweep(D)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the mask table alone took 8 bytes per subset, 8 MiB here
-    assert peak < 8 * 2**20
+    assert answer is not math.inf  # rho ran its sweep
+    return peak
+
+
+@pytest.mark.parametrize("sweep", [deficiency_by_subsets, rho, lambda_])
+def test_sweep_memory_at_n20(sweep):
+    # the mask table alone took 8 bytes per subset, 8 MiB here, and the two
+    # joined byte planes 2 MiB; the stream holds one block of 2^16 subsets,
+    # so n = 20 (16 blocks) peaks about as high as n = 17 (two)
+    peaks = {
+        n: _sweep_peak(sweep, cyclic_instance(random.Random(20), 64, n, "uniform"))
+        for n in (17, 20)
+    }
+    assert peaks[20] < 2 * 2**20
+    assert peaks[20] <= 1.25 * peaks[17]
+
+
+def test_sweep_bound_is_checked_before_any_work():
+    D = cyclic_instance(random.Random(23), 64, 23, "uniform")
+    message = "|A| = 23 exceeds subset sweep bound 22"
+    for sweep in (deficiency_by_subsets, rho, lambda_):
+        with pytest.raises(ResourceLimitError) as refused:
+            sweep(D)
+        assert str(refused.value) == message
+    # rho refused after its infinite check and before building the columns
+    assert D.rows and "columns" not in D.__dict__
+    # the stream refuses at the call, not at its first block
+    with pytest.raises(ResourceLimitError, match=re.escape(message)):
+        subset_blocks(D.rows)
+    # lambda_ names the bound before it looks for an empty row
+    with pytest.raises(ResourceLimitError, match=re.escape(message)):
+        lambda_(rows_deltoid([0] * 23))
+
+
+def _planted_rows(n, rng):
+    # dense random rows, except rows 0, 1 and every row from 16 on, which
+    # share one two-column neighborhood: no subset inside the first block
+    # (rows 0..15) breaks Hall's condition, and the planted set breaks it
+    # by n - 16 only together with a row past the block
+    pair = 0b11 << rng.randrange(n - 1)
+    rows = [rng.getrandbits(n) | rng.getrandbits(n) | 1 << i for i in range(n)]
+    for i in (0, 1, *range(16, n)):
+        rows[i] = pair
+    return rows
+
+
+def _transpose(rows):
+    return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(len(rows))]
+
+
+@pytest.mark.parametrize("n", [17, 18, 20])
+def test_sweeps_agree_when_only_a_late_block_decides(n):
+    rows = _planted_rows(n, random.Random(n))
+    sizes, degrees = next(subset_blocks(rows))
+    # the answers the first block alone gives: delta 0 and least k 1
+    assert max(s - d for s, d in zip(sizes, degrees)) == 0
+    assert max(-(-s // d) for s, d in zip(sizes, degrees) if s) == 1
+    D = rows_deltoid(rows)
+    # rho sweeps the columns, so on the transpose it sweeps these rows
+    R = rows_deltoid(_transpose(rows))
+    assert R.columns == D.rows
+    assert deficiency_by_subsets(D) == reference_deficiency_by_subsets(D) >= 1
+    assert lambda_(D) == reference_lambda(D) >= 2
+    assert math.inf > rho(R) == reference_rho(R) >= 2
