@@ -14,6 +14,8 @@ from deltoids.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = str(ROOT / "fixtures" / "z12-paper.json")
+# A + 6 = A with 6 in B, so no finite number of classes covers B
+INFINITE_RHO = str(ROOT / "fixtures" / "z12-infinite-rho.json")
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +91,9 @@ GOLDEN_CASES = [
     ("lambda", 0, ["lambda", FIXTURE]),
     ("partition-left", 0, ["partition", FIXTURE, "--side", "left"]),
     ("partition-right", 0, ["partition", FIXTURE, "--side", "right"]),
+    ("partition-right-k2", 1, ["partition", FIXTURE, "--side", "right", "--k", "2"]),
+    ("partition-left-k1", 1, ["partition", FIXTURE, "--side", "left", "--k", "1"]),
+    ("partition-infinite-rho", 1, ["partition", INFINITE_RHO, "--side", "right"]),
     ("construct-z12", 0, ["construct", "--group", "Z12", "--n", "8", "--ell", "2"]),
     # arrays past 72 characters, which render one element per line
     ("construct-z24", 0, ["construct", "--group", "Z24", "--n", "16", "--ell", "1"]),
@@ -96,11 +101,15 @@ GOLDEN_CASES = [
     ("construct-z2xz4xz8", 0, ["construct", "--group", "Z2xZ4xZ8", "--n", "40", "--ell", "1"]),
     ("construct-z2-to-the-5", 0,
      ["construct", "--group", "Z2xZ2xZ2xZ2xZ2", "--n", "20", "--ell", "1"]),
+    ("construct-z12-n11", 1, ["construct", "--group", "Z12", "--n", "11", "--ell", "0"]),
     ("chowla", 0, ["chowla", FIXTURE]),
     ("verify-witness", 0,
      ["verify", FIXTURE, "--certificate", str(GOLDEN / "witness-ell2.json")]),
     ("verify-partition-right", 0,
      ["verify", FIXTURE, "--certificate", str(GOLDEN / "partition-right.json")]),
+    # a valid certificate checked against another instance
+    ("verify-partition-infinite-rho", 1,
+     ["verify", INFINITE_RHO, "--certificate", str(GOLDEN / "partition-right.json")]),
 ]
 
 
@@ -113,6 +122,13 @@ def test_report_bytes_match_golden(capsys, name, expected_code, argv):
     assert out == (GOLDEN / f"{name}.json").read_bytes().decode("utf-8")
 
 
+def test_every_answer_shape_is_pinned():
+    # each subcommand that can answer "does not exist" has both reports pinned
+    pinned = {(argv[0], code) for _, code, argv in GOLDEN_CASES}
+    for command in ("match", "witness", "partition", "construct", "verify"):
+        assert {(command, 0), (command, 1)} <= pinned, command
+
+
 def test_construct_runs_no_subgroup_search(capsys, monkeypatch):
     # construct reports the witness it built; neither the witness search nor
     # the subgroup search it runs on (looked up in transform) may be called
@@ -122,7 +138,7 @@ def test_construct_runs_no_subgroup_search(capsys, monkeypatch):
     monkeypatch.setattr(cli, "find_witness", searched)
     monkeypatch.setattr("deltoids.transform._search_subgroups", searched)
     cases = [case for case in GOLDEN_CASES if case[2][0] == "construct"]
-    assert len(cases) == 4
+    assert len(cases) == 5
     for name, expected_code, argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (expected_code, ""), name
