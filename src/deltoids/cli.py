@@ -224,15 +224,12 @@ def _cmd_deficiency(deltoid: Deltoid, args) -> tuple:
 
 def _cmd_match(deltoid: Deltoid, args) -> tuple:
     matching = partial_matching_with_defect(deltoid, args.defect)
+    results = {"present": matching is not None, "defect": args.defect}
     if matching is None:
-        results = {
-            "present": False,
-            "defect": args.defect,
-            "deficiency": max_matching(deltoid).defect,
-            "reason": "no matching with requested defect: deficiency exceeds it",
-        }
+        results["deficiency"] = max_matching(deltoid).defect
+        results["reason"] = "no matching with requested defect: deficiency exceeds it"
         return 1, results, None
-    results = {"present": True, "defect": args.defect, "pairs": len(matching.pairs)}
+    results["pairs"] = len(matching.pairs)
     return 0, results, {"matching": _matching_cert(matching)}
 
 
@@ -240,18 +237,11 @@ def _cmd_witness(deltoid: Deltoid, args) -> tuple:
     if args.ell < 0:
         raise InstanceFileError("--ell must be nonnegative")
     witness = find_witness(deltoid, args.ell)
+    results = {"present": witness is not None, "ell": args.ell}
     if witness is None:
-        results = {
-            "present": False,
-            "ell": args.ell,
-            "reason": "no witness: deficiency not greater than ell",
-        }
+        results["reason"] = "no witness: deficiency not greater than ell"
         return 1, results, None
-    results = {
-        "present": True,
-        "ell": args.ell,
-        "sizes": {name: len(getattr(witness, name).elements) for name in _WITNESS_PARTS},
-    }
+    results["sizes"] = {name: len(getattr(witness, name).elements) for name in _WITNESS_PARTS}
     return 0, results, {"witness": _witness_cert(witness)}
 
 
@@ -265,43 +255,28 @@ def _cmd_lambda(deltoid: Deltoid, args) -> tuple:
 
 
 def _cmd_partition(deltoid: Deltoid, args) -> tuple:
-    side = args.side
-    k = args.k
+    side, k = args.side, args.k
     if k is not None and k > deltoid.size:
         whole = "A" if side == "left" else "B"
         raise ResourceLimitError(
             f"--k {k} exceeds the bound |{whole}| = {deltoid.size}: "
             f"classes past |{whole}| are always empty"
         )
-    if k is None:
-        if side == "left":
-            k = lambda_by_feasibility(deltoid)
-        else:
-            try:
-                k = rho_by_feasibility(deltoid)
-            except InfiniteRhoError:
-                results = {
-                    "feasible": False,
-                    "side": side,
-                    "reason": "no finite partition: an element of B stabilizes A",
-                }
-                return 1, results, None
-    build = partition_left if side == "left" else partition_right
-    part = build(deltoid, k)
+    results = {"side": side}
+    try:
+        if k is None:
+            k = (lambda_by_feasibility if side == "left" else rho_by_feasibility)(deltoid)
+    except InfiniteRhoError:
+        part, reason = None, "no finite partition: an element of B stabilizes A"
+    else:
+        results["k"] = k
+        part = (partition_left if side == "left" else partition_right)(deltoid, k)
+        reason = "no partition into k admissible classes"
+    results["feasible"] = part is not None
     if part is None:
-        results = {
-            "feasible": False,
-            "side": side,
-            "k": k,
-            "reason": "no partition into k admissible classes",
-        }
+        results["reason"] = reason
         return 1, results, None
-    results = {
-        "feasible": True,
-        "side": side,
-        "k": k,
-        "class_sizes": [len(c.elements) for c in part.classes],
-    }
+    results["class_sizes"] = [len(c.elements) for c in part.classes]
     return 0, results, {"partition": _partition_cert(part)}
 
 

@@ -38,6 +38,9 @@ class StabilizerPair(_Value):
 
     def validate(self, D: Deltoid) -> Verdict:
         group = D.A.group
+        for name, part in (("S", self.S), ("R", self.R)):
+            if part.group != group:
+                return Verdict(False, f"{name} lives in a different group")
         if not self.S.issubset(D.A):
             return Verdict(False, "S is not a subset of A")
         b_or_identity = D.B.union(GroupSet.of(group, [group.identity]))

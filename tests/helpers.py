@@ -55,6 +55,15 @@ def gset(group, items):
     return GroupSet.of(group, items)
 
 
+def refusal(fn, *args) -> tuple[type, str]:
+    """The exact type and text of the exception that fn(*args) raises."""
+    try:
+        fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+    raise AssertionError(f"{fn.__name__} raised nothing")
+
+
 def golden_deltoid() -> Deltoid:
     """The shipped Z12 instance with deficiency 3 and rho 3."""
     return build_deltoid(gset(Z12, GOLDEN_A), gset(Z12, GOLDEN_B))

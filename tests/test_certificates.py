@@ -117,6 +117,9 @@ def test_stabilizer_pair_validate_names_each_fault(label):
     holed = _without_first(pair.S)
     expected = len(pair.S.elements) - len(D.B.difference(pair.R).elements)
     cases = [
+        # the wording verify_witness gives for a part from another group
+        (StabilizerPair(_elsewhere(pair.S), pair.R, pair.value), "S lives in a different group"),
+        (StabilizerPair(pair.S, _elsewhere(pair.R), pair.value), "R lives in a different group"),
         (StabilizerPair(_with(pair.S, outside_a), pair.R, pair.value), "S is not a subset of A"),
         (StabilizerPair(pair.S, _with(pair.R, outside_b), pair.value),
          "R is not a subset of B plus identity"),
@@ -138,6 +141,7 @@ def test_verify_witness_names_each_fault(label):
     S, R, Y, Z, level = w.S, w.R, w.Y, w.Z, w.level
     empty = GroupSet(S.group, ())
     cases = [
+        (ObstructionWitness(_elsewhere(S), R, Y, Z, level), "S lives in a different group"),
         (ObstructionWitness(S, R, _elsewhere(Y), Z, level), "Y lives in a different group"),
         (ObstructionWitness(S, R, Y, Z, -1), "level must be nonnegative"),
         (ObstructionWitness(_without_first(S), R, Y, Z, level), "S and Y do not partition A"),

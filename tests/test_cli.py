@@ -507,6 +507,15 @@ def test_verify_refusals_are_one_line(capsys, tmp_path, cert, message):
     assert (code, out, err) == (2, "", f"deltoids: {message}\n")
 
 
+@pytest.mark.parametrize("kind", [["matching"], {"x": 1}, None], ids=["list", "object", "null"])
+def test_verify_refuses_a_kind_that_is_not_a_string(capsys, tmp_path, kind):
+    # the kind is compared, never looked up, so an unhashable kind is input, not a bug
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"kind": kind}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", FIXTURE, "--certificate", str(path))
+    assert (code, out, err) == (2, "", f"deltoids: certificate: unknown kind {kind!r}\n")
+
+
 def test_verify_rejects_empty_certificates(capsys, tmp_path):
     # used to print "valid": true with no checks and exit 0
     empty = tmp_path / "empty.json"

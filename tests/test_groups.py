@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltoids import (
+    GroupMismatchError,
     GroupSpec,
     InfiniteSubgroupError,
     InvalidElementError,
@@ -42,9 +43,11 @@ from helpers import (
     Z12,
     bucket_full_cosets,
     cyc,
+    gset,
     is_subgroup,
     reference_generate_subgroup,
     reference_sums_in,
+    refusal,
 )
 
 
@@ -179,6 +182,14 @@ def test_enumerate_subgroups_errors():
         enumerate_subgroups(Z2xZ)
     with pytest.raises(ResourceLimitError):
         enumerate_subgroups(Z12, order_bound=11)
+
+
+def test_infinite_groups_and_mixed_sets_are_refused():
+    infinite = (UnsupportedInfiniteGroupError, "cannot enumerate an infinite group")
+    assert refusal(elements_of, Z2xZ) == infinite
+    X, Y = gset(Z12, cyc(0, 1)), gset(Z6, cyc(0, 1))
+    for combine in (GroupSet.union, GroupSet.intersection, GroupSet.difference, GroupSet.issubset):
+        assert refusal(combine, X, Y) == (GroupMismatchError, "sets live in different groups")
 
 
 def test_enumerate_subgroups_are_exactly_closure_fixed_points():

@@ -30,6 +30,7 @@ from deltoids import (
     rho_estimate_from_witness,
     u_set,
     validate_partition,
+    verify_witness,
 )
 from deltoids.matching import subset_least_k
 from deltoids.partition import _least_k
@@ -47,6 +48,7 @@ from helpers import (
     golden_deltoid,
     gset,
     random_witnessed_instance,
+    refusal,
     rows_deltoid,
     stabilizer_pairs,
     subsets_of,
@@ -348,6 +350,16 @@ def test_rho_estimate_rejects_invalid_witness():
     broken = ObstructionWitness(w.S, w.R, w.Y, w.Z, level=3)
     with pytest.raises(InvalidWitnessError):
         rho_estimate_from_witness(D, broken)
+
+
+def test_rho_estimate_refuses_infinite_rho():
+    # A + 6 = A with 6 in B; S = A, R = {6}, Y = {} is a witness at level 0
+    D = build_deltoid(gset(Z12, cyc(0, 1, 6, 7)), gset(Z12, cyc(2, 3, 4, 6)))
+    w = ObstructionWitness(D.A, gset(Z12, cyc(6)), gset(Z12, []), gset(Z12, cyc(2, 3, 4)), 0)
+    assert verify_witness(D, w)
+    assert refusal(rho_estimate_from_witness, D, w) == (
+        InfiniteRhoError, "estimate needs a finite right partition number"
+    )
 
 
 def test_rho_estimate_random_sweep():

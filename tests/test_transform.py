@@ -7,6 +7,7 @@ import time
 import pytest
 
 from deltoids import (
+    GroupMismatchError,
     GroupSet,
     GroupSpec,
     ResourceLimitError,
@@ -54,6 +55,7 @@ from helpers import (
     reference_search_subgroups,
     reference_subgroup_answers,
     reference_subgroup_terms,
+    refusal,
     stabilizer_pairs,
     subsets_of,
     universe_for,
@@ -117,6 +119,16 @@ def test_stabilize_rejects_bad_input():
         stabilize(A, gset(Z12, cyc(0)), gset(Z12, cyc(2)))  # identity missing
     with pytest.raises(InvalidInputError):
         stabilize(A, gset(Z12, cyc(4)), gset(Z12, cyc(0, 2)))  # 4+2 leaves A
+
+
+def test_transform_refuses_mixed_groups():
+    S, R = gset(Z12, cyc(0)), gset(Z6, cyc(0, 1))
+    assert refusal(e_transform_step, S, R, (0,), (1,)) == (
+        GroupMismatchError, "S and R live in different groups"
+    )
+    assert refusal(stabilize, gset(Z12, cyc(0, 1)), S, R) == (
+        GroupMismatchError, "A, S, R must live in one group"
+    )
 
 
 def _random_transform_triple(rng, group, span=2):
