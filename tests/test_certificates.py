@@ -141,7 +141,6 @@ def test_verify_witness_names_each_fault(label):
     S, R, Y, Z, level = w.S, w.R, w.Y, w.Z, w.level
     empty = GroupSet(S.group, ())
     cases = [
-        (ObstructionWitness(_elsewhere(S), R, Y, Z, level), "S lives in a different group"),
         (ObstructionWitness(S, R, _elsewhere(Y), Z, level), "Y lives in a different group"),
         (ObstructionWitness(S, R, Y, Z, -1), "level must be nonnegative"),
         (ObstructionWitness(_without_first(S), R, Y, Z, level), "S and Y do not partition A"),

@@ -94,6 +94,9 @@ def test_e_transform_step_rejects_non_witness():
         e_transform_step(S, R, (4,), (2,))  # e outside S
     with pytest.raises(InvalidWitnessError):
         e_transform_step(S, R, (0,), (4,))  # r outside R
+    assert refusal(e_transform_step, S, gset(Z6, cyc(0, 2)), (0,), (2,)) == (
+        GroupMismatchError, "S and R live in different groups"
+    )
 
 
 def test_stabilize_already_stable():
@@ -119,14 +122,7 @@ def test_stabilize_rejects_bad_input():
         stabilize(A, gset(Z12, cyc(0)), gset(Z12, cyc(2)))  # identity missing
     with pytest.raises(InvalidInputError):
         stabilize(A, gset(Z12, cyc(4)), gset(Z12, cyc(0, 2)))  # 4+2 leaves A
-
-
-def test_transform_refuses_mixed_groups():
-    S, R = gset(Z12, cyc(0)), gset(Z6, cyc(0, 1))
-    assert refusal(e_transform_step, S, R, (0,), (1,)) == (
-        GroupMismatchError, "S and R live in different groups"
-    )
-    assert refusal(stabilize, gset(Z12, cyc(0, 1)), S, R) == (
+    assert refusal(stabilize, A, gset(Z12, cyc(0)), gset(Z6, cyc(0, 2))) == (
         GroupMismatchError, "A, S, R must live in one group"
     )
 
