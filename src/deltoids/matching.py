@@ -23,6 +23,7 @@ from .sets import Deltoid
 DEFAULT_SUBSET_BOUND = 22
 
 _BLOCK_ROWS = 16  # subset_blocks yields 2^16 subsets per block
+_LANE_LIMIT = 127  # the largest n whose subset_blocks lanes never carry
 _POPCOUNT = bytes(map(int.bit_count, range(256)))
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
@@ -161,6 +162,9 @@ def partial_matching_with_defect(D: Deltoid, d: int) -> PartialMatching | None:
 def _check_subset_bound(n: int, subset_bound: int) -> int:
     if n > subset_bound:
         raise ResourceLimitError(f"|A| = {n} exceeds subset sweep bound {subset_bound}")
+    if n > _LANE_LIMIT:
+        raise ResourceLimitError(f"|A| = {n} exceeds subset sweep lane limit {_LANE_LIMIT}, "
+                                 "which subset_bound cannot raise")
     return n
 
 
@@ -178,7 +182,8 @@ def subset_blocks(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
 
     Both planes hold values up to n.  Their readers add them lane by lane as
     one int, sums up to 2n in deficiency_by_subsets and n + 127 in
-    subset_least_k, so no lane carries into the next while n <= 127.
+    subset_least_k, so no lane carries into the next while n <= 127, the
+    lane limit that _check_subset_bound enforces.
     """
     n = _check_subset_bound(len(masks), subset_bound)
     width = (n + 7) // 8  # bytes per lane, enough for one N(S)
@@ -213,11 +218,12 @@ def subset_least_k(masks, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
     caller makes k = n clear, so k only grows: a block failing at k is probed
     at k + 1, at most blocks + n - 1 probes in all.  Refuses n above subset_bound.
     """
+    blocks = subset_blocks(masks, subset_bound)  # refuses n before a table is built
     n = len(masks)
     # clear(k): no lane of sizes + T_k[degrees], T_k[y] = 127 - min(k * y, n),
     # reaches 128; a lane of sizes holds some x <= n, so it does iff x > k * y
     pad, k = bytes([127 - n]), 1
-    for sizes, degrees in subset_blocks(masks, subset_bound):
+    for sizes, degrees in blocks:
         fixed = int.from_bytes(sizes, "little")
         while k < n:
             table = bytes(range(127, 126 - n, -k)).ljust(256, pad)
@@ -235,9 +241,10 @@ def deficiency_by_subsets(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) 
     running best, which each block of subset_blocks raises to the largest
     value it holds above it.  Refuses instances above subset_bound.
     """
+    blocks = subset_blocks(D.rows, subset_bound)  # refuses n before a table is built
     n, best = D.size, D.size
     rest = bytes(range(n, -1, -1)).ljust(256, b"\0")  # x -> n - x
-    for sizes, degrees in subset_blocks(D.rows, subset_bound):
+    for sizes, degrees in blocks:
         lanes = int.from_bytes(sizes, "little") + int.from_bytes(degrees.translate(rest), "little")
         lanes = lanes.to_bytes(len(sizes), "little")
         for top in range(2 * n, best, -1):

@@ -83,6 +83,17 @@ class Deltoid(_Value):
         holders, unplaced = assign(self.rows, 1)
         return tuple(map(tuple, holders)), unplaced
 
+    @cached_property
+    def best_term(self):
+        """The subgroup maximum's (value, full, inside): transform._best_term, searched once.
+
+        Shared by deficiency_by_subgroups and best_stabilizer_pair, which
+        each check their own order bound before they read it.
+        """
+        from .transform import _best_term  # transform builds on this module
+
+        return _best_term(self)
+
     @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1

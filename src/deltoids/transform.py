@@ -14,6 +14,7 @@ from .groups import (
     DEFAULT_ORDER_BOUND,
     Element,
     GroupSet,
+    _check_searchable,
     _search_subgroups,
     _Value,
     canonicalize,
@@ -162,12 +163,14 @@ def improving_terms(D: Deltoid, score, best, order_bound: int = DEFAULT_ORDER_BO
             yield value, full, inside
 
 
-def _best_term(D: Deltoid, order_bound: int):
+def _best_term(D: Deltoid):
     # (value, full, inside) of the canonically first term scoring highest,
-    # |full(H)| - n + |B n H|; the trivial subgroup's (0, A, ()) unless beaten
+    # |full(H)| - n + |B n H|; the trivial subgroup's (0, A, ()) unless
+    # beaten.  Deltoid.best_term keeps it, so the search takes the group's
+    # own order as its bound: each reader checks its own bound first.
     n = D.size
     best = 0, D.A, ()
-    for best in improving_terms(D, lambda f, inside: f - n + inside, 0, order_bound):
+    for best in improving_terms(D, lambda f, inside: f - n + inside, 0, D.A.group.order):
         pass
     return best
 
@@ -179,9 +182,11 @@ def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) 
     the trivial subgroup contributes 0, so the result is never negative.
     Only the stabilized pairs (S = full coset union, R = (B n H) + identity)
     can attain the pair-formula maximum, which makes this exact.  Reads
-    only the two counts of each term, as best_stabilizer_pair does.
+    the term that D.best_term keeps, as best_stabilizer_pair does, so the
+    two search the subgroups once per deltoid.
     """
-    return _best_term(D, order_bound)[0]
+    _check_searchable(D.A.group, order_bound)
+    return D.best_term[0]
 
 
 def best_stabilizer_pair(
@@ -194,6 +199,7 @@ def best_stabilizer_pair(
     returned pair is deterministic.  Only the kept term is decoded.
     """
     group = D.A.group
-    value, full, inside = _best_term(D, order_bound)
+    _check_searchable(group, order_bound)
+    value, full, inside = D.best_term
     paired_r = GroupSet.of(group, list(inside) + [group.identity])
     return StabilizerPair(GroupSet(group, tuple(full)), paired_r, value)

@@ -5,11 +5,12 @@ import importlib
 import json
 import random
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from deltoids import InternalInconsistencyError, cli
+from deltoids import InternalInconsistencyError, cli, parse_group
 from deltoids.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,6 +255,24 @@ def test_sweep_routes_above_the_bound_exit_three(capsys, tmp_path, command):
     assert err == "deltoids: resource limit: |A| = 30 exceeds subset sweep bound 22\n"
 
 
+@pytest.mark.parametrize("n", [256, 300])
+def test_deficiency_at_n_256_and_above_skips_the_sweep(capsys, tmp_path, n):
+    # the subset route built a byte table from n before its bound check, so
+    # n >= 256 exited 4 with "bytes must be in range(0, 256)"
+    rng = random.Random(1)
+    path = write_instance(tmp_path, {
+        "group": "Z4001",
+        "A": [[x] for x in rng.sample(range(4001), n)],
+        "B": [[x] for x in rng.sample(range(1, 4001), n)],
+    })
+    code, report, err = run_json(capsys, "deficiency", path)
+    assert (code, err) == (0, "")
+    assert report["results"]["agreement"] is True
+    assert report["results"]["skipped"] == {
+        "subsets": f"|A| = {n} exceeds subset sweep bound 22"
+    }
+
+
 def test_partition_right_least_k_above_sweep_bound(capsys, tmp_path):
     # n = 30 is above the 2^n sweep bound; H = <3> forces
     # rho >= ceil(|B n H| / (|A| - |H|)) = ceil(19 / 10) = 2
@@ -372,6 +391,75 @@ def test_duplicate_elements_warn_or_fail(capsys, tmp_path):
     )
     code, _, err = run_json(capsys, "deficiency", dup_bad)
     assert code == 2 and "|A|" in err
+
+
+# (group, sizes) of the exit-code sweep: finite and free-rank groups, n
+# from 1 to 300, across the 255 past which a byte table once broke
+CONTRACT_GROUPS = [
+    ("Z12", (1, 6, 11)),
+    ("Z2xZ2xZ2xZ2", (3, 8, 15)),
+    ("Z64", (22, 23, 40)),
+    ("Z4001", (127, 128, 255, 256, 300)),
+    ("Z2xZ", (1, 7, 23)),
+    ("Z3xZxZ", (30, 256, 300)),
+]
+
+
+def _contract_instance(rng, literal, n):
+    # seeded uniform sets; free coordinates in [-7, 7], 675 elements in Z3xZxZ
+    group = parse_group(literal)
+    ranges = [range(m) for m in group.torsion] + [range(-7, 8)] * group.free_rank
+    universe = [list(x) for x in product(*ranges)]
+    return {"group": literal, "A": rng.sample(universe, n),
+            "B": rng.sample([x for x in universe if any(x)], n)}
+
+
+def test_every_subcommand_ends_in_a_documented_exit(capsys, tmp_path):
+    # exit 0 or 1: a report and nothing on stderr; exit 2 or 3: one stderr
+    # line and no report; never exit 4, which is a bug.  Every certificate a
+    # report emits verifies.
+    rng = random.Random(8)
+    seen = set()
+
+    def ends_documented(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        if code <= 1:
+            assert err == "" and json.loads(out)["command"] == argv[0], argv
+        else:
+            assert out == "" and err.startswith("deltoids: ") and err.count("\n") == 1, argv
+        seen.add((argv[0], code))
+        return code, out
+
+    # the fixtures have deficiency 3 and infinite rho, which uniform sets rarely do
+    instances = [json.loads(Path(path).read_text(encoding="utf-8"))
+                 for path in (FIXTURE, INFINITE_RHO)]
+    instances += [_contract_instance(rng, literal, n)
+                  for literal, sizes in CONTRACT_GROUPS for n in sizes]
+    for instance in instances:
+        n = len(instance["A"])
+        path = write_instance(tmp_path, instance)
+        reports = []
+        for argv in (
+            ["deficiency"], ["match", "--defect", str(rng.randint(0, n))],
+            ["witness", "--ell", str(rng.randint(0, 2))], ["rho"], ["lambda"],
+            ["partition", "--side", "left"], ["partition", "--side", "right"], ["chowla"],
+        ):
+            code, out = ends_documented(argv[0], path, *argv[1:])
+            if code == 0 and "certificates" in json.loads(out):
+                reports.append(out)
+        for i, out in enumerate(reports):
+            certificate = tmp_path / f"report{i}.json"
+            certificate.write_text(out, encoding="utf-8")
+            assert ends_documented("verify", path, "--certificate", str(certificate))[0] == 0
+        ends_documented("construct", "--group", instance["group"], "--n", str(n),
+                        "--ell", str(rng.randint(0, 2)))
+    # every subcommand answered somewhere, and every exit code 0 to 3 came up
+    assert {command for command, code in seen if code == 0} == {
+        "deficiency", "match", "witness", "rho", "lambda", "partition", "chowla", "verify",
+        "construct",
+    }
+    assert {code for _, code in seen} == {0, 1, 2, 3}
 
 
 def test_free_group_instance_skips_subgroup_route(capsys, tmp_path):

@@ -13,13 +13,15 @@ from deltoids import (
     chowla_defect,
     deficiency,
     deficiency_by_subsets,
+    lambda_,
     max_matching,
     max_progression_length,
     order,
     partial_matching_with_defect,
+    rho,
     verify_matching,
 )
-from deltoids.matching import assign, subset_blocks
+from deltoids.matching import _check_subset_bound, assign, subset_blocks, subset_least_k
 from helpers import (
     Z2xZ,
     Z2xZ4,
@@ -37,6 +39,7 @@ from helpers import (
     gset,
     random_instance,
     reference_assign,
+    refusal,
     rows_deltoid,
 )
 
@@ -180,6 +183,30 @@ def test_deficiency_by_subsets_examples():
 def test_deficiency_by_subsets_bound():
     with pytest.raises(ResourceLimitError):
         deficiency_by_subsets(golden_deltoid(), subset_bound=7)
+
+
+@pytest.mark.parametrize("n", [130, 256])
+def test_sweeps_refuse_large_n_before_any_table(n):
+    # each built a byte table from n before the bound was checked, which
+    # raised ValueError from subset_least_k at n >= 128 and from both at
+    # n >= 256
+    D = cyclic_instance(random.Random(n), 4001, n, "uniform")
+    message = f"|A| = {n} exceeds subset sweep bound 22"
+    assert refusal(deficiency_by_subsets, D) == (ResourceLimitError, message)
+    assert refusal(subset_least_k, D.rows) == (ResourceLimitError, message)
+
+
+def test_sweep_lane_limit_is_refused_whatever_the_bound():
+    # the byte lanes of subset_blocks carry past n = 127, so no subset_bound
+    # admits more.  The one reader of the bound is checked first: a sweep
+    # that went past it would build 2^112 block tails.
+    message = "|A| = 128 exceeds subset sweep lane limit 127, which subset_bound cannot raise"
+    assert refusal(_check_subset_bound, 128, 1000) == (ResourceLimitError, message)
+    assert _check_subset_bound(127, 1000) == 127
+    D = cyclic_instance(random.Random(128), 4001, 128, "uniform")
+    for sweep, masks in ((subset_blocks, D.rows), (subset_least_k, D.rows),
+                         (deficiency_by_subsets, D), (rho, D), (lambda_, D)):
+        assert refusal(sweep, masks, 1000) == (ResourceLimitError, message)
 
 
 def joined_blocks(masks):

@@ -190,6 +190,21 @@ def test_deficiency_by_subgroups_nonnegative():
 def test_deficiency_by_subgroups_order_bound():
     with pytest.raises(ResourceLimitError):
         deficiency_by_subgroups(golden_deltoid(), order_bound=5)
+    # a term kept on the deltoid never answers a call whose bound refuses
+    D = golden_deltoid()
+    assert deficiency_by_subgroups(D) == best_stabilizer_pair(D).value == 3
+    for formula in (deficiency_by_subgroups, best_stabilizer_pair):
+        assert refusal(formula, D, 5) == (
+            ResourceLimitError, "group order 12 exceeds enumeration bound 5"
+        )
+    big = parse_group("Z10007")
+    D = build_deltoid(GroupSet.of(big, [(0,)]), GroupSet.of(big, [(1,)]))
+    assert deficiency_by_subgroups(D, order_bound=10007) == 0
+    for formula in (deficiency_by_subgroups, best_stabilizer_pair):
+        assert refusal(formula, D) == (
+            ResourceLimitError, "group order 10007 exceeds enumeration bound 10000"
+        )
+    assert best_stabilizer_pair(D, order_bound=10007).value == 0
 
 
 def test_deficiency_by_subgroups_refuses_infinite():
@@ -198,6 +213,69 @@ def test_deficiency_by_subgroups_refuses_infinite():
     )
     with pytest.raises(UnsupportedInfiniteGroupError):
         deficiency_by_subgroups(D)
+    # on every call, with nothing kept from the first
+    for formula in (deficiency_by_subgroups, best_stabilizer_pair) * 2:
+        assert refusal(formula, D) == (
+            UnsupportedInfiniteGroupError, "subgroup formulas need a finite group"
+        )
+
+
+def _memo_instances():
+    # seeded uniform and coset-heavy instances, many with a positive maximum
+    rng = random.Random(21)
+    for literal in ("Z12", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3", "Z2xZ6", "Z2xZ2xZ4"):
+        group = parse_group(literal)
+        for _ in range(6):
+            yield random_instance(rng, group, max_size=10)
+            D = coset_heavy_instance(rng, group)
+            if D is not None:
+                yield D
+
+
+def test_memoized_best_term_answers_as_a_fresh_deltoid():
+    # deficiency_by_subgroups and best_stabilizer_pair read one term kept on
+    # the deltoid: either call order gives what each gives on its own on a
+    # fresh deltoid, and the matching's deficiency
+    positive = 0
+    for D in _memo_instances():
+        delta = deficiency_by_subgroups(build_deltoid(D.A, D.B))
+        pair = best_stabilizer_pair(build_deltoid(D.A, D.B))
+        assert delta == pair.value == deficiency(D) and pair.validate(D)
+        first = build_deltoid(D.A, D.B)
+        assert (deficiency_by_subgroups(first), best_stabilizer_pair(first)) == (delta, pair)
+        second = build_deltoid(D.A, D.B)
+        assert (best_stabilizer_pair(second), deficiency_by_subgroups(second)) == (pair, delta)
+        assert (deficiency_by_subgroups(second), best_stabilizer_pair(second)) == (delta, pair)
+        positive += delta > 0
+    assert positive >= 20
+
+
+def test_one_subgroup_search_serves_both_formulas(monkeypatch):
+    searches = []
+    search = transform._search_subgroups
+
+    def counted(*args):
+        searches.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(transform, "_search_subgroups", counted)
+    for D in _memo_instances():
+        searches.clear()
+        deficiency_by_subgroups(D)
+        best_stabilizer_pair(D)
+        deficiency_by_subgroups(D)
+        assert searches == [D.A.group]
+        # the witness search keeps its own
+        find_witness(D, 0)
+        assert len(searches) == 2
+
+
+def test_memoized_deltoid_equals_a_fresh_one():
+    for D in _memo_instances():
+        best_stabilizer_pair(D)
+        fresh = build_deltoid(D.A, D.B)
+        assert "best_term" in vars(D) and "best_term" not in vars(fresh)
+        assert D == fresh and fresh == D and hash(D) == hash(fresh)
 
 
 def test_triple_agreement_exhaustive():
@@ -340,11 +418,14 @@ def test_subgroup_search_agrees_with_the_lattice_scan(monkeypatch):
         assert decoded == expected
         answers = _subgroup_answers(D)
         bound = lambda_lower_bound(D)
+        # a fresh deltoid, so the term D.best_term keeps cannot answer for
+        # the reference
+        fresh = build_deltoid(D.A, D.B)
         with monkeypatch.context() as patched:
             patched.setattr(transform, "subgroup_terms", reference_subgroup_terms)
-            assert _subgroup_answers(D) == answers
+            assert _subgroup_answers(fresh) == answers
             patched.setattr(transform, "subgroup_terms", _reference_terms_with_full_cosets)
-            assert lambda_lower_bound(D) == bound
+            assert lambda_lower_bound(fresh) == bound
 
 
 def _bounded_answers(D):
