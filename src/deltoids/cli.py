@@ -204,14 +204,11 @@ def _cmd_deficiency(deltoid: Deltoid, args) -> tuple:
     delta = deficiency(deltoid)
     routes: dict = {"matching": delta, "subsets": None, "subgroups": None}
     skipped = {}
-    try:
-        routes["subsets"] = deficiency_by_subsets(deltoid)
-    except ResourceLimitError as err:
-        skipped["subsets"] = str(err)
-    try:
-        routes["subgroups"] = deficiency_by_subgroups(deltoid)
-    except (UnsupportedInfiniteGroupError, ResourceLimitError) as err:
-        skipped["subgroups"] = str(err)
+    for name, route in (("subsets", deficiency_by_subsets), ("subgroups", deficiency_by_subgroups)):
+        try:
+            routes[name] = route(deltoid)
+        except (UnsupportedInfiniteGroupError, ResourceLimitError) as err:
+            skipped[name] = str(err)
     computed = [v for v in routes.values() if v is not None]
     results = {
         "delta": delta,

@@ -312,10 +312,6 @@ class _Masks:
                 mask = low << c * s | (mask ^ low) >> cut
         return mask
 
-    def members(self, mask: int, items, codes=None) -> tuple:
-        """The items whose codes are set in mask; codes[i] (default i) codes items[i]."""
-        return members(mask, self.size, items, codes)
-
 
 def sums_in(group: GroupSpec, X, Y, E) -> list[int]:
     """For each x in X, the bitmask over Y of the y with x + y in E.
@@ -397,7 +393,7 @@ class _Members:
         return self.mask.bit_count()
 
     def __iter__(self):
-        return iter(self.masks.members(self.mask, self.items, self.codes))
+        return iter(members(self.mask, self.masks.size, self.items, self.codes))
 
 
 def _search_subgroups(group: GroupSpec, order_bound: int, generators, within, grows=None):
@@ -481,7 +477,7 @@ def first_subgroup_of_order(group: GroupSpec, m: int) -> GroupSet:
         if h.bit_count() < m and not (h >> code & 1 or m % order(group, x)):
             joined = _saturate(masks, h, masks.translate(h, x), x, or_)
             h = joined if m % joined.bit_count() == 0 else h
-    return GroupSet(group, masks.members(h, everything))
+    return GroupSet(group, members(h, masks.size, everything))
 
 
 def full_cosets_within(group: GroupSpec, elements, sub: GroupSet) -> tuple[Element, ...]:

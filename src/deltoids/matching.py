@@ -174,11 +174,11 @@ def subset_blocks(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
     Yields (sizes, degrees) for 2^16 subsets at a time in subset order, one
     byte each: |S| and |N(S)|, S the positions set in the subset's index and
     N(S) the OR of their masks.  A block's N(S) are the lanes of one int,
-    grown by doubling over the first 16 masks and ORed with the OR of the
-    block's other masks in every lane, popcounted a byte at a time through a
-    table; its sizes are those of the first 16 masks plus the count of the
-    others.  Only one block is held at a time.  Refuses n above subset_bound
-    at the call, not at the first block.
+    grown by doubling over the first 16 masks and ORed in every lane with
+    the OR of the others that the block's index picks, popcounted a byte at
+    a time through a table; its sizes are those of the first 16 masks plus
+    the count of the others.  One block is held at a time, whatever n is.
+    Refuses n above subset_bound at the call, not at the first block.
 
     Both planes hold values up to n.  Their readers add them lane by lane as
     one int, sums up to 2n in deficiency_by_subsets and n + 127 in
@@ -194,12 +194,14 @@ def subset_blocks(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
         low |= (low | mask * ones) << shift
         ones |= ones << shift
         lanes *= 2
-    highs = [0]
-    for mask in masks[_BLOCK_ROWS:]:
-        highs += [high | mask for high in highs]
+    rest = masks[_BLOCK_ROWS:]
 
     def blocks():
-        for tail, high in enumerate(highs):
+        for tail in range(1 << len(rest)):
+            high = 0  # the OR of the other masks that tail's bits pick
+            for i, mask in enumerate(rest):
+                if tail >> i & 1:
+                    high |= mask
             counts = (low | high * ones).to_bytes(lanes * width, "little").translate(_POPCOUNT)
             if width > 1:
                 # at most n <= 255 per lane, so the byte sums never carry

@@ -6,6 +6,7 @@ injections, so agreement with the library is a real cross-check.
 """
 
 import math
+import re
 from array import array
 from itertools import combinations, islice, permutations, product, repeat
 from operator import and_, floordiv, neg, or_, sub
@@ -28,7 +29,7 @@ from deltoids import (
     full_cosets_within,
     invert,
 )
-from deltoids.groups import DEFAULT_ORDER_BOUND, _check_searchable, _Masks, _saturate
+from deltoids.groups import DEFAULT_ORDER_BOUND, _check_searchable, _Masks, _saturate, members
 from deltoids.matching import DEFAULT_SUBSET_BOUND
 from deltoids.partition import _rho_is_infinite
 
@@ -280,8 +281,8 @@ def reference_search_subgroups(group: GroupSpec, order_bound: int, generators, w
 
     groups._search_subgroups before it took a value bound, kept verbatim
     (but for _saturate, which now takes the first translate from its
-    caller) as the reference for the bounded search: it grows every kept
-    subgroup and decodes every one.
+    caller, and the decoder, now groups.members) as the reference for the
+    bounded search: it grows every kept subgroup and decodes every one.
     """
     _check_searchable(group, order_bound)
     masks = _Masks(group)
@@ -308,8 +309,9 @@ def reference_search_subgroups(group: GroupSpec, order_bound: int, generators, w
                     stack.append(joined)
     codes = range(group.order)
     kept = sorted(((h, full) for h, full in found.items() if full),
-                  key=lambda item: (item[0].bit_count(), masks.members(item[0], codes)))
-    return [(masks.members(h, generators, gen_codes), masks.members(full, within, within_codes))
+                  key=lambda item: (item[0].bit_count(), members(item[0], masks.size, codes)))
+    return [(members(h, masks.size, generators, gen_codes),
+             members(full, masks.size, within, within_codes))
             for h, full in kept]
 
 
@@ -605,3 +607,84 @@ def right_inequality_holds(D, k):
         if k * len(s_elems) + n > k * n + len(brute_delta_elems(D, s_elems)):
             return False
     return True
+
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+               "boolean": bool, "null": type(None)}
+# the keywords that check only values of one JSON type, and pass the others
+_KEYWORD_TYPES = {"required": dict, "properties": dict, "additionalProperties": dict,
+                  "minProperties": dict, "items": list, "minItems": list, "maxItems": list,
+                  "minimum": (int, float), "pattern": str}
+_ANNOTATIONS = {"$schema", "$id", "title", "description", "definitions"}
+
+
+def _is_json_type(value, name):
+    # bool is an int subclass in Python but no JSON number, and a draft-07
+    # integer is any number with a zero fractional part, 1.0 included
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def schema_errors(value, schema, root=None, path="$"):
+    """The draft-07 violations of a JSON value against a schema, one line each.
+
+    A stdlib validator for the keywords docs/*.schema.json use: type, enum,
+    const, required, properties, additionalProperties, items (one schema),
+    minItems, maxItems, minProperties, minimum, pattern, oneOf and $ref into
+    the root's definitions.  Any other keyword raises ValueError, so a
+    schema that grows one fails here rather than passing unchecked.
+    """
+    root = schema if root is None else root
+    if isinstance(schema, bool):
+        return [] if schema else [f"{path}: no value is allowed"]
+    errors = []
+    for key, want in schema.items():
+        if key in _ANNOTATIONS or not isinstance(value, _KEYWORD_TYPES.get(key, object)):
+            continue
+        if key == "$ref":
+            prefix, _, name = want.rpartition("/")
+            if prefix != "#/definitions":
+                raise ValueError(f"$ref {want!r} does not name a definition")
+            errors += schema_errors(value, root["definitions"][name], root, path)
+        elif key == "type":
+            names = [want] if isinstance(want, str) else want
+            if not any(_is_json_type(value, name) for name in names):
+                errors.append(f"{path}: not of type {want}")
+        elif key in ("enum", "const"):
+            # JSON equality: true is not 1
+            if not any(value == v and isinstance(value, bool) == isinstance(v, bool)
+                       for v in (want if key == "enum" else [want])):
+                errors.append(f"{path}: not {key} {want}")
+        elif key == "oneOf":
+            hits = sum(not schema_errors(value, sub, root, path) for sub in want)
+            if hits != 1:
+                errors.append(f"{path}: matches {hits} of the oneOf schemas")
+        elif key == "required":
+            errors += [f"{path}: lacks {name!r}" for name in want if name not in value]
+        elif key == "properties":
+            for name in sorted(want.keys() & value.keys()):
+                errors += schema_errors(value[name], want[name], root, f"{path}.{name}")
+        elif key == "additionalProperties":
+            for name in sorted(value.keys() - schema.get("properties", {}).keys()):
+                errors += schema_errors(value[name], want, root, f"{path}.{name}")
+        elif key == "items":
+            for i, item in enumerate(value):
+                errors += schema_errors(item, want, root, f"{path}[{i}]")
+        elif key in ("minItems", "minProperties"):
+            if len(value) < want:
+                errors.append(f"{path}: {len(value)} entries, fewer than {key} {want}")
+        elif key == "maxItems":
+            if len(value) > want:
+                errors.append(f"{path}: {len(value)} entries, more than maxItems {want}")
+        elif key == "minimum":
+            if value < want:
+                errors.append(f"{path}: {value} below minimum {want}")
+        elif key == "pattern":
+            if not re.search(want, value):
+                errors.append(f"{path}: {value!r} does not match {want}")
+        else:
+            raise ValueError(f"schema keyword {key!r} is not implemented")
+    return errors

@@ -199,7 +199,7 @@ def test_sweeps_refuse_large_n_before_any_table(n):
 def test_sweep_lane_limit_is_refused_whatever_the_bound():
     # the byte lanes of subset_blocks carry past n = 127, so no subset_bound
     # admits more.  The one reader of the bound is checked first: a sweep
-    # that went past it would build 2^112 block tails.
+    # that went past it would iterate 2^112 block tails.
     message = "|A| = 128 exceeds subset sweep lane limit 127, which subset_bound cannot raise"
     assert refusal(_check_subset_bound, 128, 1000) == (ResourceLimitError, message)
     assert _check_subset_bound(127, 1000) == 127

@@ -159,6 +159,22 @@ def test_sweep_memory_at_n20(sweep):
     assert peaks[20] <= 1.25 * peaks[17]
 
 
+def test_first_block_memory_at_n34():
+    # with a raised bound, the call and its first block may hold one block
+    # of 2^16 five-byte lanes and its planes, nothing that grows with the
+    # 2^18 tails (a table of their ORs alone would take 11.8 MiB)
+    rng = random.Random(34)
+    rows = [rng.getrandbits(34) for _ in range(34)]
+    tracemalloc.start()
+    try:
+        sizes, degrees = next(subset_blocks(rows, 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == len(degrees) == 1 << 16
+    assert peak < 2 * 2**20
+
+
 def test_sweep_bound_is_checked_before_any_work():
     D = cyclic_instance(random.Random(23), 64, 23, "uniform")
     message = "|A| = 23 exceeds subset sweep bound 22"

@@ -10,6 +10,7 @@ from deltoids import (
     GroupMismatchError,
     GroupSet,
     GroupSpec,
+    ObstructionWitness,
     ResourceLimitError,
     cosets_of,
     elements_of,
@@ -500,6 +501,24 @@ def test_improving_terms_yields_the_improvements_of_the_full_scan():
             found = [(value, tuple(full), tuple(inside))
                      for value, full, inside in transform.improving_terms(D, score, floor)]
             assert found == expected
+
+
+def test_one_chain_of_improving_terms_answers_find_witness_at_every_level():
+    # every term before the first chain entry above a level L scores at most
+    # the chain value before it, itself at most L; so that entry is the first
+    # term above L, and one kept chain could serve find_witness at any level
+    for D in _search_instances():
+        group, n = D.A.group, D.size
+        chain = list(transform.improving_terms(D, lambda f, i: f - n + i, 0))
+        delta = chain[-1][0] if chain else 0
+        assert delta == deficiency(D)
+        for level in range(delta + 1):
+            above = [(full, inside) for value, full, inside in chain if value > level]
+            expected = None
+            if above:
+                S, R = (GroupSet(group, tuple(part)) for part in above[0])
+                expected = ObstructionWitness(S, R, D.A.difference(S), D.B.difference(R), level)
+            assert find_witness(D, level) == expected
 
 
 def test_subgroup_route_in_z2_to_the_8():
