@@ -187,7 +187,7 @@ def rho_by_feasibility(D: Deltoid) -> int:
 
 
 def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
-    """Finite rho as a maximum over the subgroups of subgroup_terms.
+    """Finite rho as a maximum over the subgroup terms.
 
     Each H contributes ceil(|B n H| / (|A| - |full H-cosets in A|)); the
     floor of 1 comes from the empty-S pair.  Requires rho finite.  Reads

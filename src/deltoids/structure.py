@@ -155,7 +155,7 @@ def construct_deficient_pair(
     |full_K(A)| = tk <= n with t >= 1 and |B n K| <= k - 1, so
     (t + 1)k >= n + level + 2; no multiple of k lies in n+1 .. n+level+1,
     k qualifies, and k >= m.
-    (2) subgroup_terms runs in (size, elements) order and H is the
+    (2) the subgroup search runs in (size, elements) order and H is the
     canonically first subgroup of order m, so no term before H scores above
     the level.
     (3) H = <B n H> is a term and scores above the level: its full cosets in

@@ -128,27 +128,16 @@ def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet
         S, R = e_transform_step(S, R, *witness)
 
 
-def subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND, grows=None):
-    """Yield (full H-cosets inside A, B n H) per H = <B n H> != 1 with a full coset in A.
-
-    The subgroup search over B within A, in canonical order (size, then
-    elements).  Every formula gets the answers of a scan over all
-    subgroups: <B n H> keeps B n H and H's full cosets, scores no lower
-    and sorts no later, and a subgroup with no full coset in A scores at
-    most what the trivial subgroup does.
-
-    Each part is a sized view of its elements, decoded only when iterated.
-    grows(|full H-cosets inside A|), if given, is asked after each term (and
-    for the trivial subgroup, with |A|) whether to search H's supergroups.
-    """
-    terms = _search_subgroups(D.A.group, order_bound, D.B.elements, D.A.elements, grows)
-    next(terms)  # the trivial subgroup: full = A, B n H empty
-    for inside, full in terms:
-        yield full, inside
-
-
 def improving_terms(D: Deltoid, score, best, order_bound: int = DEFAULT_ORDER_BOUND):
     """Yield (value, full, inside) per subgroup term whose value beats best and all before.
+
+    The terms are (full H-cosets inside A, B n H) per H = <B n H> != 1 with
+    a full coset in A: the subgroup search over B within A, in canonical
+    order (size, then elements), each part a sized view of its elements,
+    decoded only when iterated.  Every formula gets the answers of a scan
+    over all subgroups: <B n H> keeps B n H and H's full cosets, scores no
+    lower and sorts no later, and a subgroup with no full coset in A scores
+    at most what the trivial subgroup does.
 
     value = score(|full H-cosets inside A|, |B n H|), for a score that does
     not decrease in either count.  A supergroup H' of H has
@@ -157,7 +146,10 @@ def improving_terms(D: Deltoid, score, best, order_bound: int = DEFAULT_ORDER_BO
     is not grown once that is at most best, so no term that could beat best
     is lost: the yields are those of the unpruned scan.
     """
-    for full, inside in subgroup_terms(D, order_bound, lambda f: score(f, f - 1) > best):
+    terms = _search_subgroups(D.A.group, order_bound, D.B.elements, D.A.elements,
+                              lambda f: score(f, f - 1) > best)
+    next(terms)  # the trivial subgroup: full = A, B n H empty
+    for inside, full in terms:
         if (value := score(len(full), len(inside))) > best:
             best = value
             yield value, full, inside

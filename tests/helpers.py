@@ -254,7 +254,7 @@ def reference_subgroup_terms(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND,
     as the trivial subgroup, which misses B because the identity is not in B.
 
     The scan over the whole subgroup lattice, kept as the reference that
-    the pruned subgroup search behind transform.subgroup_terms must agree
+    the pruned subgroup search behind transform.improving_terms must agree
     with.  It grows every subgroup, so the formulas' grows is ignored.
     """
     group = D.A.group
@@ -318,7 +318,7 @@ def reference_search_subgroups(group: GroupSpec, order_bound: int, generators, w
 def reference_subgroup_answers(D: Deltoid) -> dict:
     """Every subgroup formula's answer, read off the unbounded reference search.
 
-    The terms are those of transform.subgroup_terms before the value bound:
+    The terms are those transform.improving_terms reads before the value bound:
     (|full H-cosets in A|, B n H) per kept H but the trivial one, in
     canonical order.  Keys: deficiency, pair (S, R, value), witnesses (the
     first witness's (S, R) or None per level 0 .. deficiency), rho (None
@@ -628,14 +628,32 @@ def _is_json_type(value, name):
     return isinstance(value, _JSON_TYPES[name])
 
 
+def _ecma_pattern(pattern):
+    # Python's $ also matches before a trailing newline; ECMA-262's, without
+    # the multiline flag, only at the end of input, as \Z does
+    out, escaped, in_class = [], False, False
+    for ch in pattern:
+        if escaped:
+            escaped = False
+        elif ch == "\\":
+            escaped = True
+        elif ch in "[]":
+            in_class = ch == "["
+        elif ch == "$" and not in_class:
+            ch = r"\Z"
+        out.append(ch)
+    return "".join(out)
+
+
 def schema_errors(value, schema, root=None, path="$"):
     """The draft-07 violations of a JSON value against a schema, one line each.
 
     A stdlib validator for the keywords docs/*.schema.json use: type, enum,
     const, required, properties, additionalProperties, items (one schema),
-    minItems, maxItems, minProperties, minimum, pattern, oneOf and $ref into
-    the root's definitions.  Any other keyword raises ValueError, so a
-    schema that grows one fails here rather than passing unchecked.
+    minItems, maxItems, minProperties, minimum, pattern, oneOf, allOf,
+    if/then and $ref into the root's definitions.  Any other keyword raises
+    ValueError, so a schema that grows one fails here rather than passing
+    unchecked.  A pattern's $ is the end of input, as in ECMA-262.
     """
     root = schema if root is None else root
     if isinstance(schema, bool):
@@ -658,6 +676,14 @@ def schema_errors(value, schema, root=None, path="$"):
             if not any(value == v and isinstance(value, bool) == isinstance(v, bool)
                        for v in (want if key == "enum" else [want])):
                 errors.append(f"{path}: not {key} {want}")
+        elif key == "allOf":
+            for sub in want:
+                errors += schema_errors(value, sub, root, path)
+        elif key == "if":
+            if not schema_errors(value, want, root, path):
+                errors += schema_errors(value, schema.get("then", True), root, path)
+        elif key == "then":
+            continue  # read by if
         elif key == "oneOf":
             hits = sum(not schema_errors(value, sub, root, path) for sub in want)
             if hits != 1:
@@ -683,7 +709,7 @@ def schema_errors(value, schema, root=None, path="$"):
             if value < want:
                 errors.append(f"{path}: {value} below minimum {want}")
         elif key == "pattern":
-            if not re.search(want, value):
+            if not re.search(_ecma_pattern(want), value):
                 errors.append(f"{path}: {value!r} does not match {want}")
         else:
             raise ValueError(f"schema keyword {key!r} is not implemented")

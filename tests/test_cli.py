@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import random
+import re
 import time
 from itertools import product
 from pathlib import Path
@@ -12,11 +13,14 @@ import pytest
 
 from deltoids import InternalInconsistencyError, cli, parse_group
 from deltoids.cli import main
+from helpers import schema_errors
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = str(ROOT / "fixtures" / "z12-paper.json")
 # A + 6 = A with 6 in B, so no finite number of classes covers B
 INFINITE_RHO = str(ROOT / "fixtures" / "z12-infinite-rho.json")
+REPORT_SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text(encoding="utf-8"))
+INSTANCE_SCHEMA = json.loads((ROOT / "docs" / "instance.schema.json").read_text(encoding="utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -415,9 +419,9 @@ def _contract_instance(rng, literal, n):
 
 
 def test_every_subcommand_ends_in_a_documented_exit(capsys, tmp_path):
-    # exit 0 or 1: a report and nothing on stderr; exit 2 or 3: one stderr
-    # line and no report; never exit 4, which is a bug.  Every certificate a
-    # report emits verifies.
+    # exit 0 or 1: a report that follows docs/report.schema.json and nothing
+    # on stderr; exit 2 or 3: one stderr line and no report; never exit 4,
+    # which is a bug.  Every certificate a report emits verifies.
     rng = random.Random(8)
     seen = set()
 
@@ -426,6 +430,7 @@ def test_every_subcommand_ends_in_a_documented_exit(capsys, tmp_path):
         assert code in (0, 1, 2, 3), (argv, err)
         if code <= 1:
             assert err == "" and json.loads(out)["command"] == argv[0], argv
+            assert schema_errors(json.loads(out), REPORT_SCHEMA) == [], argv
         else:
             assert out == "" and err.startswith("deltoids: ") and err.count("\n") == 1, argv
         seen.add((argv[0], code))
@@ -460,6 +465,123 @@ def test_every_subcommand_ends_in_a_documented_exit(capsys, tmp_path):
         "construct",
     }
     assert {code for _, code in seen} == {0, 1, 2, 3}
+
+
+# the rules docs/instance.schema.json cannot state, each with the message it
+# exits 2 with: a file that breaks only these passes the schema
+SCHEMA_CANNOT_STATE = {
+    "sizes": r"\|A\| = \d+ but \|B\| = \d+",
+    "identity": r"the identity element may not appear in B",
+    "length": r"element of length \d+ does not fit group of dimension \d+",
+    "digits": r"modulus of \d+ digits is too large",
+}
+# the one documented difference: an integral float such as 1.0 or 1e2 is a
+# draft-07 integer, so it passes the schema, but the loader takes JSON
+# integers only and exits 2
+INTEGRAL_FLOAT = r"element \[.*\] is not an array of integers"
+# written into the file text unquoted, so that 1e2 stays 1e2
+RAW_NUMBERS = ("1.0", "1e2", "-0.0", "2E0", "1.7", "-2.5")
+
+
+def _literal_variants(rng, literal):
+    # group literals made from a valid one by one change each: leading
+    # zeros, Z0, Z1 inside a product, whitespace, a trailing newline, a
+    # non-ASCII digit, a free factor first, too many digits, the trivial group
+    factors = literal.split("x")
+    i = rng.choice([i for i, factor in enumerate(factors) if factor != "Z"])
+    j = rng.choice([j for j, c in enumerate(literal) if c.isdigit()])
+    k = rng.randrange(len(literal) + 1)
+
+    def with_factor(text):
+        return "x".join(factors[:i] + [text] + factors[i + 1:])
+
+    yield with_factor("Z" + "0" * rng.randint(1, 3) + factors[i][1:])
+    yield with_factor(rng.choice(["Z0", "Z00"]))
+    yield rng.choice(["Z1x", "Z01x"]) + literal
+    yield literal[:k] + rng.choice([" ", "\t", "\u00a0", "\u3000"]) + literal[k:]
+    yield literal + "\n"
+    yield literal[:j] + chr(rng.choice([0xFF10, 0x0660, 0x0966]) + int(literal[j])) + literal[j + 1:]
+    yield "x".join(["Z"] + factors[:-1]) if factors[-1] == "Z" else "Zx" + literal
+    yield with_factor("Z1" + "0" * 4300)
+    yield "Z1"
+
+
+def _instance_mutants(rng, instance):
+    # (what was changed, instance) per mutant: the group literal, the
+    # fields, A or B as a whole, one coordinate, and the rules the schema
+    # cannot state
+    for literal in _literal_variants(rng, instance["group"]):
+        yield "group", dict(instance, group=literal)
+    field = rng.choice(["group", "A", "B"])
+    yield "missing", {key: value for key, value in instance.items() if key != field}
+    yield "extra", dict(instance, **{rng.choice(["C", "a", "A ", "groups"]): [[1]]})
+    yield "top", rng.choice([[], 5, "Z12", None, [instance]])
+    for name in ("A", "B"):
+        yield "set", dict(instance, **{name: rng.choice([5, "A", {}, None, True, {"0": [1]}])})
+        yield "set", dict(instance, **{name: []})
+        for bad in (True, False, "1", None, *RAW_NUMBERS):
+            elements = [list(x) for x in instance[name]]
+            x = rng.choice(elements)
+            x[rng.randrange(len(x))] = f"@{bad}@" if bad in RAW_NUMBERS else bad
+            yield "coordinate", dict(instance, **{name: elements})
+        yield "sizes", dict(instance, **{name: instance[name][1:]})
+        elements = [list(x) for x in instance[name]]
+        x = rng.choice(elements)
+        if rng.random() < 0.5 or len(x) == 1:
+            x.append(0)
+        else:
+            x.pop()
+        yield "length", dict(instance, **{name: elements})
+    B = list(instance["B"])
+    B[rng.randrange(len(B))] = [0] * len(B[0])
+    yield "identity", dict(instance, B=B)
+
+
+def test_every_instance_the_schema_refuses_exits_2(capsys, tmp_path):
+    # an instance differential: on seeded mutants of valid instances, each
+    # file docs/instance.schema.json rejects makes deficiency exit 2 with one
+    # stderr line and no report; each file it accepts answers with exit 0,
+    # or exits 2 by a rule the schema cannot state or by the one documented
+    # difference (INTEGRAL_FLOAT)
+    rng = random.Random(23)
+    instances = [json.loads(Path(FIXTURE).read_text(encoding="utf-8"))]
+    instances += [_contract_instance(rng, literal, n)
+                  for literal, n in (("Z12", 2), ("Z2xZ4", 5), ("Z7", 4), ("Z2xZ", 3),
+                                     ("Z3xZxZ", 6), ("Z2xZ2xZ2", 3))]
+    rules = {**SCHEMA_CANNOT_STATE, "float": INTEGRAL_FLOAT}
+    outcomes = {}
+    path = tmp_path / "mutant.json"
+    for instance in instances:
+        for changed, mutant in [("none", instance), *_instance_mutants(rng, instance)]:
+            text = json.dumps(mutant)
+            for number in RAW_NUMBERS:
+                text = text.replace(f'"@{number}@"', number)
+            path.write_text(text, encoding="utf-8")
+            accepted = schema_errors(json.loads(text), INSTANCE_SCHEMA) == []
+            code, out, err = run_cli(capsys, "deficiency", str(path))
+            if code == 0:
+                assert accepted and err == "", text
+                outcome = "answered"
+            else:
+                assert code == 2 and out == "", text
+                assert err.startswith("deltoids: ") and err.count("\n") == 1, text
+                outcome = "refused"
+                if accepted:
+                    outcome = next((rule for rule, message in rules.items()
+                                    if re.search(message, err)), "unexplained")
+            outcomes.setdefault(changed, set()).add((accepted, outcome))
+    # leading zeros answer, every kind of break is refused by both, and each
+    # rule the schema cannot state, and only such a rule, exits 2 past it
+    assert outcomes["none"] == {(True, "answered")}
+    assert (True, "answered") in outcomes["group"] and (False, "refused") in outcomes["group"]
+    for changed in ("missing", "extra", "top", "set"):
+        assert outcomes[changed] == {(False, "refused")}, changed
+    assert outcomes["coordinate"] == {(False, "refused"), (True, "float")}
+    assert outcomes["sizes"] == {(True, "sizes")}
+    assert outcomes["length"] == {(True, "length")}
+    assert outcomes["identity"] == {(True, "identity")}
+    assert {outcome for accepted, outcome in outcomes["group"] if accepted} == {
+        "answered", "length", "digits"}
 
 
 def test_free_group_instance_skips_subgroup_route(capsys, tmp_path):

@@ -46,3 +46,25 @@ def test_only_matching_touches_the_subset_planes():
                 continue
             offenders += [f"{path.name}:{node.lineno} {name}" for name in names & PLANE_INTERNALS]
     assert offenders == []
+
+
+def _readers(tree, name, scope=""):
+    # (enclosing function, line) of every use of `name` below a node, imports aside
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _readers(node, name, node.name)
+            continue
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            yield scope, node.lineno
+        yield from _readers(node, name, scope)
+
+
+def test_only_improving_terms_and_enumerate_subgroups_call_the_subgroup_search():
+    # every subgroup formula reaches the search through the value bound of
+    # transform.improving_terms; enumerate_subgroups lists the whole lattice
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        readers += [f"{path.stem}.{scope}" for scope, _ in _readers(tree, "_search_subgroups")]
+    assert sorted(readers) == ["groups.enumerate_subgroups", "transform.improving_terms"]

@@ -82,6 +82,8 @@ def test_a_broken_instance_fails():
     instance = _load(FIXTURES / "z12-paper.json")
     for field, bad in (
         ("group", "Z1x"),
+        ("group", "Z12\n"),
+        ("group", "Z2xZ\n"),
         ("group", 12),
         ("A", []),
         ("A", [[True]]),
@@ -93,10 +95,69 @@ def test_a_broken_instance_fails():
     assert schema_errors({"group": "Z12"}, INSTANCE_SCHEMA) == ["$: lacks 'A'", "$: lacks 'B'"]
 
 
+def _fields(value, path=()):
+    # the path to every field of an object, and of every object below it
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from _fields(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _fields(item, path + (i,))
+
+
+def test_a_golden_with_a_results_field_dropped_or_retyped_fails():
+    # results is typed per command and exit code, down to the fields of
+    # deficiency's routes, witness's sizes, construct's instance and
+    # verify's checks
+    broken_count = 0
+    for name in GOLDEN_NAMES:
+        report = _load(GOLDEN / name)
+        for *parents, last in _fields(report["results"], ("results",)):
+            for drop in (True, False):
+                broken = copy.deepcopy(report)
+                target = broken
+                for key in parents:
+                    target = target[key]
+                if drop:
+                    del target[last]
+                else:
+                    target[last] = 0 if isinstance(target[last], str) else "x"
+                assert schema_errors(broken, REPORT_SCHEMA), (name, *parents, last, drop)
+                broken_count += 1
+    assert broken_count > 8 * len(GOLDEN_NAMES)
+
+
+def test_results_follow_their_own_command():
+    # every golden's results under any other command fails: no two
+    # commands share a results shape
+    commands = REPORT_SCHEMA["properties"]["command"]["enum"]
+    for name in GOLDEN_NAMES:
+        report = _load(GOLDEN / name)
+        for command in commands:
+            if command != report["command"]:
+                assert schema_errors(dict(report, command=command), REPORT_SCHEMA), (name, command)
+
+
+def test_the_validator_reads_allof_if_then_and_patterns_as_draft_07_does():
+    # if without a match leaves then unread; properties pass an absent field,
+    # so a missing a still reads then; $ is the end of input, as in ECMA-262
+    schema = {"allOf": [{"if": {"properties": {"a": {"const": 1}}}, "then": {"required": ["b"]}},
+                        {"required": ["a"]}]}
+    assert schema_errors({"a": 1, "b": 0}, schema) == []
+    assert schema_errors({"a": 2}, schema) == []
+    assert schema_errors({"a": 1}, schema) == ["$: lacks 'b'"]
+    assert schema_errors({}, schema) == ["$: lacks 'b'", "$: lacks 'a'"]
+    assert schema_errors("ab", {"pattern": "^ab$"}) == []
+    assert schema_errors("ab\n", {"pattern": "^ab$"}) == ["$: 'ab\\n' does not match ^ab$"]
+    assert schema_errors("a$b", {"pattern": "^a[$]b$"}) == []
+    assert schema_errors("a$b", {"pattern": "^a\\$b$"}) == []
+
+
 def test_the_validator_refuses_keywords_it_does_not_implement():
-    # a schema that grows a keyword, such as if/then, must not pass unchecked
-    with pytest.raises(ValueError, match="'if' is not implemented"):
-        schema_errors({}, {"if": {"required": ["x"]}, "then": {}})
+    # a schema that grows a keyword, such as else, must not pass unchecked
+    with pytest.raises(ValueError, match="'else' is not implemented"):
+        schema_errors({}, {"if": {"required": ["x"]}, "then": {}, "else": {}})
 
 
 def test_the_validator_types_numbers_as_draft_07_does():

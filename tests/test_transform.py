@@ -362,7 +362,7 @@ def test_deficiency_equals_pair_formula_exhaustive():
 
 
 def _subgroup_answers(D):
-    # the answers read from subgroup_terms, with S and R where there are any
+    # the answers read from the subgroup search, with S and R where there are any
     delta = deficiency(D)
     answers = [best_stabilizer_pair(D), find_witness(D, delta)]
     if delta:
@@ -372,12 +372,19 @@ def _subgroup_answers(D):
     return answers
 
 
-def _reference_terms_with_full_cosets(D, order_bound=DEFAULT_ORDER_BOUND, grows=None):
-    # lambda_lower_bound skipped the terms with no full coset in A, where a
-    # B inside H would make its denominator 0; grows is ignored, as by the
-    # reference
-    return ((full, inside) for full, inside in reference_subgroup_terms(D, order_bound)
-            if full.elements)
+def _reference_search(D, with_full_coset):
+    # groups._search_subgroups over D's lattice scan: the trivial term
+    # ((), A), then the reference's terms as (inside, full); with_full_coset
+    # keeps only the terms with a full coset in A, which lambda_lower_bound
+    # needs where a B inside H would make its denominator 0; grows is
+    # ignored, as by the reference
+    def search(group, order_bound, generators, within, grows=None):
+        assert (group, generators, within) == (D.A.group, D.B.elements, D.A.elements)
+        yield (), D.A
+        for full, inside in reference_subgroup_terms(D, order_bound):
+            if full.elements or not with_full_coset:
+                yield inside, full
+    return search
 
 
 def _search_instances():
@@ -414,8 +421,13 @@ def test_subgroup_search_agrees_with_the_lattice_scan(monkeypatch):
             for h, (full, inside) in zip(meets_b, reference_subgroup_terms(D), strict=True)
             if full.elements and generate_subgroup(group, inside.elements) == h
         ]
+        terms = transform._search_subgroups(
+            group, DEFAULT_ORDER_BOUND, D.B.elements, D.A.elements
+        )
+        inside, full = next(terms)  # the trivial term, which improving_terms skips
+        assert (tuple(inside), tuple(full)) == ((), D.A.elements)
         decoded = [(GroupSet(group, tuple(full)), GroupSet(group, tuple(inside)))
-                   for full, inside in transform.subgroup_terms(D)]
+                   for inside, full in terms]
         assert decoded == expected
         answers = _subgroup_answers(D)
         bound = lambda_lower_bound(D)
@@ -423,9 +435,9 @@ def test_subgroup_search_agrees_with_the_lattice_scan(monkeypatch):
         # the reference
         fresh = build_deltoid(D.A, D.B)
         with monkeypatch.context() as patched:
-            patched.setattr(transform, "subgroup_terms", reference_subgroup_terms)
+            patched.setattr(transform, "_search_subgroups", _reference_search(fresh, False))
             assert _subgroup_answers(fresh) == answers
-            patched.setattr(transform, "subgroup_terms", _reference_terms_with_full_cosets)
+            patched.setattr(transform, "_search_subgroups", _reference_search(fresh, True))
             assert lambda_lower_bound(fresh) == bound
 
 
