@@ -10,6 +10,7 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import math
+import re
 from functools import cached_property, reduce
 from itertools import compress, product
 from math import gcd, lcm, prod
@@ -510,37 +511,32 @@ def cosets_of(group: GroupSpec, sub: GroupSet) -> list[tuple[Element, ...]]:
 
 # --- group literal syntax ("Z12", "Z2xZ4", "Z2xZ", "Z1" for the trivial group) ---
 
+# the "group" pattern of docs/instance.schema.json is "^(" + this + ")$"
+_LITERAL = re.compile("Z1|Z(xZ)*|Z0*([2-9]|[1-9][0-9]+)(xZ0*([2-9]|[1-9][0-9]+))*(xZ)*")
+
 
 def parse_group(literal: str) -> GroupSpec:
     """Parse a group literal: cyclic factors "Z<n>", bare "Z" for a free factor.
 
-    Free factors must come last so the coordinate order matches the internal
-    layout (torsion first).  "Z1" alone denotes the trivial group.  As in
-    docs/instance.schema.json, no whitespace and only ASCII digits.
+    A literal is valid iff _LITERAL matches all of it: no whitespace, only
+    ASCII digits, moduli n >= 2 and free factors last, so the coordinate
+    order matches the internal layout (torsion first); "Z1" alone denotes
+    the trivial group.  Leading zeros do not count toward int()'s digit
+    limit.
     """
-    if literal == "Z1":
-        return GroupSpec((), 0)
-    torsion: list[int] = []
-    free_rank = 0
-    for token in literal.split("x"):
-        if token == "Z":
-            free_rank += 1
-            continue
-        digits = token[1:]
-        if not token.startswith("Z") or not (digits.isascii() and digits.isdigit()):
-            raise InvalidElementError(f"bad group literal token {token!r} in {literal!r}")
+    if not _LITERAL.fullmatch(literal):
+        raise InvalidElementError(
+            f"group literal {literal!r} does not match ^({_LITERAL.pattern})$"
+        )
+    tokens = literal.split("x")
+    torsion = []
+    for digits in (token[1:].lstrip("0") for token in tokens if token != "Z"):
         try:
-            n = int(digits)
+            torsion.append(int(digits))
         except ValueError:  # more digits than int() converts
-            raise InvalidElementError(f"modulus of {len(token) - 1} digits is too large") from None
-        if n < 2:
-            raise InvalidElementError(f"modulus {n} < 2 in group literal {literal!r}")
-        if free_rank:
-            raise InvalidElementError(
-                f"free factors must come last in group literal {literal!r}"
-            )
-        torsion.append(n)
-    return GroupSpec(tuple(torsion), free_rank)
+            raise InvalidElementError(f"modulus of {len(digits)} digits is too large") from None
+    # Z1, the trivial group, is the one factor of modulus 1 the pattern admits
+    return GroupSpec(tuple(n for n in torsion if n > 1), tokens.count("Z"))
 
 
 def format_group(group: GroupSpec) -> str:

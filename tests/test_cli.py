@@ -127,6 +127,23 @@ def test_report_bytes_match_golden(capsys, name, expected_code, argv):
     assert out == (GOLDEN / f"{name}.json").read_bytes().decode("utf-8")
 
 
+def test_leading_zeros_answer_past_the_digit_limit(capsys, tmp_path):
+    # the literal's leading zeros are not digits of the modulus: the
+    # fixture as "Z000...012" gives the golden report, and construct echoes
+    # the canonical literal
+    zeros = "Z" + "0" * 5000
+    fixture = json.loads(Path(FIXTURE).read_text(encoding="utf-8"))
+    path = write_instance(tmp_path, dict(fixture, group=zeros + "12"))
+    assert run_cli(capsys, "deficiency", path) == (
+        0, (GOLDEN / "deficiency.json").read_text(encoding="utf-8"), "")
+    assert run_cli(capsys, "construct", "--group", zeros + "12", "--n", "8", "--ell", "2") == (
+        0, (GOLDEN / "construct-z12.json").read_text(encoding="utf-8"), "")
+    # a modulus of more than 4,300 digits after its zeros is still refused
+    path = write_instance(tmp_path, dict(fixture, group="Z1" + "0" * 4300))
+    assert run_cli(capsys, "deficiency", path) == (
+        2, "", "deltoids: modulus of 4301 digits is too large\n")
+
+
 def test_every_answer_shape_is_pinned():
     # each subcommand that can answer "does not exist" has both reports pinned
     pinned = {(argv[0], code) for _, code, argv in GOLDEN_CASES}
@@ -485,8 +502,9 @@ RAW_NUMBERS = ("1.0", "1e2", "-0.0", "2E0", "1.7", "-2.5")
 
 def _literal_variants(rng, literal):
     # group literals made from a valid one by one change each: leading
-    # zeros, Z0, Z1 inside a product, whitespace, a trailing newline, a
-    # non-ASCII digit, a free factor first, too many digits, the trivial group
+    # zeros (a few, and more than int()'s 4,300-digit limit), Z0, Z1 inside
+    # a product, whitespace, a trailing newline, a non-ASCII digit, a free
+    # factor first, too many digits, the trivial group
     factors = literal.split("x")
     i = rng.choice([i for i, factor in enumerate(factors) if factor != "Z"])
     j = rng.choice([j for j, c in enumerate(literal) if c.isdigit()])
@@ -496,6 +514,7 @@ def _literal_variants(rng, literal):
         return "x".join(factors[:i] + [text] + factors[i + 1:])
 
     yield with_factor("Z" + "0" * rng.randint(1, 3) + factors[i][1:])
+    yield with_factor("Z" + "0" * 4301 + factors[i][1:])
     yield with_factor(rng.choice(["Z0", "Z00"]))
     yield rng.choice(["Z1x", "Z01x"]) + literal
     yield literal[:k] + rng.choice([" ", "\t", "\u00a0", "\u3000"]) + literal[k:]
@@ -542,7 +561,9 @@ def test_every_instance_the_schema_refuses_exits_2(capsys, tmp_path):
     # file docs/instance.schema.json rejects makes deficiency exit 2 with one
     # stderr line and no report; each file it accepts answers with exit 0,
     # or exits 2 by a rule the schema cannot state or by the one documented
-    # difference (INTEGRAL_FLOAT)
+    # difference (INTEGRAL_FLOAT).  chowla refuses what deficiency refuses,
+    # and construct --group each literal parse_group refuses, with the same
+    # line
     rng = random.Random(23)
     instances = [json.loads(Path(FIXTURE).read_text(encoding="utf-8"))]
     instances += [_contract_instance(rng, literal, n)
@@ -569,6 +590,14 @@ def test_every_instance_the_schema_refuses_exits_2(capsys, tmp_path):
                 if accepted:
                     outcome = next((rule for rule, message in rules.items()
                                     if re.search(message, err)), "unexplained")
+                assert run_cli(capsys, "chowla", str(path)) == (2, "", err), text
+                if changed == "group" and outcome in ("refused", "digits"):
+                    argv = ["--group", mutant["group"], "--n", "2", "--ell", "0"]
+                    assert run_cli(capsys, "construct", *argv) == (2, "", err), text
+            if changed == "group" and accepted:
+                # only significant digits count: leading zeros never refuse
+                digits = max(len(token[1:].lstrip("0")) for token in mutant["group"].split("x"))
+                assert (outcome == "digits") == (digits > 4300), text
             outcomes.setdefault(changed, set()).add((accepted, outcome))
     # leading zeros answer, every kind of break is refused by both, and each
     # rule the schema cannot state, and only such a rule, exits 2 past it

@@ -50,6 +50,9 @@ from helpers import (
     refusal,
 )
 
+SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "instance.schema.json"
+LITERAL_PATTERN = json.loads(SCHEMA.read_text(encoding="utf-8"))["properties"]["group"]["pattern"]
+
 
 def test_compose_examples():
     assert compose(Z12, (4,), (8,)) == (0,)
@@ -418,8 +421,6 @@ def test_schema_group_pattern_accepts_what_parse_group_accepts():
     # docs/instance.schema.json's pattern against the parser, on every join
     # of up to three tokens; fullmatch, since Python's $ (unlike JSON
     # Schema's) also matches before a final newline
-    schema = Path(__file__).resolve().parent.parent / "docs" / "instance.schema.json"
-    pattern = json.loads(schema.read_text(encoding="utf-8"))["properties"]["group"]["pattern"]
     tokens = ["Z", "Z0", "Z00", "Z1", "Z01", "Z001", "Z2", "Z02", "Z9", "Z10", "Z010",
               "Z12", "Z100", "z2", "Q8", "Z-2", "Z 2", "Z\u00b2", "Z\u0661", ""]
     corpus = ["".join(p) for p in product(tokens, repeat=1)]
@@ -434,20 +435,29 @@ def test_schema_group_pattern_accepts_what_parse_group_accepts():
         else:
             parsed = True
             accepted += 1
-        assert parsed == bool(re.fullmatch(pattern, literal)), repr(literal)
+        assert parsed == bool(re.fullmatch(LITERAL_PATTERN, literal)), repr(literal)
     assert len(corpus) == 8427 and accepted == 466
     # the one gap the pattern leaves: int() refuses a modulus of more than
     # 4,300 digits, which the schema's description states
-    assert re.fullmatch(pattern, "Z" + "9" * 5000)
+    assert re.fullmatch(LITERAL_PATTERN, "Z" + "9" * 5000)
     with pytest.raises(InvalidElementError, match="too large"):
         parse_group("Z" + "9" * 5000)
 
 
+def test_leading_zeros_do_not_count_toward_the_digit_limit():
+    # the schema allows leading zeros: only a modulus of more than 4,300
+    # digits after them is refused
+    assert parse_group("Z" + "0" * 5000 + "12") == Z12
+    assert parse_group("Z" + "0" * 5000 + "2xZ04xZ") == GroupSpec((2, 4), 1)
+    assert refusal(parse_group, "Z1" + "0" * 4300) == (
+        InvalidElementError, "modulus of 4301 digits is too large")
+
+
 def test_group_literal_errors():
-    # int() refuses a superscript digit and more than 4,300 digits; the
-    # schema's pattern has no whitespace and only ASCII digits, so the last
-    # three (which used to parse) are refused too
-    for bad in ("", "Q8", "Z0", "Z-2", "ZxZ2", "Z2x", "z12", "Z\u00b2", "Z" + "9" * 5000,
-                " Z12 ", "Z2 x Z4", "Z\u0661\u0662"):
-        with pytest.raises(InvalidElementError):
-            parse_group(bad)
+    # one line that names the literal and states the schema's pattern; it
+    # has no whitespace and only ASCII digits, so " Z12 ", "Z2 x Z4" and
+    # "Z\u0661\u0662", which int() would read, are refused too
+    for bad in ("", "Q8", "Z0", "Z-2", "ZxZ2", "Z2x", "z12", "Z\u00b2", " Z12 ", "Z2 x Z4",
+                "Z\u0661\u0662", "Z2\n", "Z2xZxZ3"):
+        assert refusal(parse_group, bad) == (
+            InvalidElementError, f"group literal {bad!r} does not match {LITERAL_PATTERN}")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from deltoids import groups
 from helpers import schema_errors
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +94,33 @@ def test_a_broken_instance_fails():
         broken = dict(instance, **{field: bad})
         assert schema_errors(broken, INSTANCE_SCHEMA), (field, bad)
     assert schema_errors({"group": "Z12"}, INSTANCE_SCHEMA) == ["$: lacks 'A'", "$: lacks 'B'"]
+
+
+def test_parse_group_matches_the_schema_pattern():
+    # one grammar: parse_group accepts a literal iff _LITERAL fullmatches it
+    pattern = INSTANCE_SCHEMA["properties"]["group"]["pattern"]
+    assert "^(" + groups._LITERAL.pattern + ")$" == pattern
+
+
+def test_a_golden_with_its_inputs_broken_fails():
+    # inputs is typed per command: exactly group, A and B, or construct's
+    # group, n and ell; group is the canonical literal, without leading zeros
+    broken_count = 0
+    for name in GOLDEN_NAMES:
+        report = _load(GOLDEN / name)
+        inputs = report["inputs"]
+        breaks = [{key: value for key, value in inputs.items() if key != field}
+                  for field in inputs]
+        breaks += [dict(inputs, extra=0), dict(inputs, group="Z012"),
+                   dict(inputs, group="Z12 "), dict(inputs, group=12)]
+        if report["command"] == "construct":
+            breaks += [dict(inputs, ell=-1), dict(inputs, n="8"), dict(inputs, A=[[0]])]
+        else:
+            breaks += [dict(inputs, A=[]), dict(inputs, B=[[0.5]]), dict(inputs, n=8)]
+        for broken in breaks:
+            assert schema_errors(dict(report, inputs=broken), REPORT_SCHEMA), (name, broken)
+            broken_count += 1
+    assert broken_count > 9 * len(GOLDEN_NAMES)
 
 
 def _fields(value, path=()):
