@@ -84,15 +84,15 @@ class Deltoid(_Value):
         return tuple(map(tuple, holders)), unplaced
 
     @cached_property
-    def best_term(self):
-        """The subgroup maximum's (value, full, inside): transform._best_term, searched once.
+    def delta_terms(self):
+        """The improving (value, full, inside) terms: transform._delta_terms, searched once.
 
-        Shared by deficiency_by_subgroups and best_stabilizer_pair, which
-        each check their own order bound before they read it.
+        Shared by deficiency_by_subgroups, best_stabilizer_pair and
+        find_witness, which each check their own order bound first.
         """
-        from .transform import _best_term  # transform builds on this module
+        from .transform import _delta_terms  # transform builds on this module
 
-        return _best_term(self)
+        return _delta_terms(self)
 
     @property
     def full_mask(self) -> int:

@@ -27,7 +27,7 @@ from .groups import (
 )
 from .matching import Verdict
 from .sets import Deltoid
-from .transform import _escape, improving_terms
+from .transform import _escape
 
 
 class ObstructionWitness(_Value):
@@ -53,17 +53,17 @@ def find_witness(
     cannot grow past the full cosets.  A witness exists for some (S, R) iff
     one exists of this restricted shape.  Every term has S nonempty.
 
-    The shape is a witness iff |S| - n + |R| > level, so the first term
-    improving_terms yields above the level is it, the only term decoded.
+    The shape is a witness iff |S| - n + |R| > level, so the first entry
+    of D.delta_terms above the level is it, the only term decoded.
     """
     if level < 0:
         raise InvalidParametersError("level must be nonnegative")
     group = D.A.group
-    n = D.size
-    for _, S, R in improving_terms(D, lambda f, inside: f - n + inside, level, order_bound):
-        S, R = GroupSet(group, tuple(S)), GroupSet(group, tuple(R))
-        Y, Z = D.A.difference(S), D.B.difference(R)
-        return ObstructionWitness(S=S, R=R, Y=Y, Z=Z, level=level)
+    _check_searchable(group, order_bound)
+    for value, S, R in D.delta_terms:
+        if value > level:
+            S, R = GroupSet(group, tuple(S)), GroupSet(group, tuple(R))
+            return ObstructionWitness(S, R, D.A.difference(S), D.B.difference(R), level)
     return None
 
 

@@ -155,16 +155,15 @@ def improving_terms(D: Deltoid, score, best, order_bound: int = DEFAULT_ORDER_BO
             yield value, full, inside
 
 
-def _best_term(D: Deltoid):
-    # (value, full, inside) of the canonically first term scoring highest,
-    # |full(H)| - n + |B n H|; the trivial subgroup's (0, A, ()) unless
-    # beaten.  Deltoid.best_term keeps it, so the search takes the group's
+def _delta_terms(D: Deltoid):
+    # The chain of improving terms |full(H)| - n + |B n H| from the trivial
+    # (0, A, ()): the last is the canonically first best, and the first above
+    # a level L is the first term above L, as each term before it scores at
+    # most L.  Deltoid.delta_terms keeps it, so the search takes the group's
     # own order as its bound: each reader checks its own bound first.
     n = D.size
-    best = 0, D.A, ()
-    for best in improving_terms(D, lambda f, inside: f - n + inside, 0, D.A.group.order):
-        pass
-    return best
+    terms = improving_terms(D, lambda f, inside: f - n + inside, 0, D.A.group.order)
+    return ((0, D.A, ()), *terms)
 
 
 def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
@@ -174,11 +173,10 @@ def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) 
     the trivial subgroup contributes 0, so the result is never negative.
     Only the stabilized pairs (S = full coset union, R = (B n H) + identity)
     can attain the pair-formula maximum, which makes this exact.  Reads
-    the term that D.best_term keeps, as best_stabilizer_pair does, so the
-    two search the subgroups once per deltoid.
+    the last entry of D.delta_terms, the one subgroup search per deltoid.
     """
     _check_searchable(D.A.group, order_bound)
-    return D.best_term[0]
+    return D.delta_terms[-1][0]
 
 
 def best_stabilizer_pair(
@@ -192,6 +190,6 @@ def best_stabilizer_pair(
     """
     group = D.A.group
     _check_searchable(group, order_bound)
-    value, full, inside = D.best_term
+    value, full, inside = D.delta_terms[-1]
     paired_r = GroupSet.of(group, list(inside) + [group.identity])
     return StabilizerPair(GroupSet(group, tuple(full)), paired_r, value)

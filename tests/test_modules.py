@@ -60,11 +60,27 @@ def _readers(tree, name, scope=""):
         yield from _readers(node, name, scope)
 
 
-def test_only_improving_terms_and_enumerate_subgroups_call_the_subgroup_search():
-    # every subgroup formula reaches the search through the value bound of
-    # transform.improving_terms; enumerate_subgroups lists the whole lattice
+def _src_readers(name):
+    # "module.function" of every use of `name` in src/, sorted
     readers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        readers += [f"{path.stem}.{scope}" for scope, _ in _readers(tree, "_search_subgroups")]
-    assert sorted(readers) == ["groups.enumerate_subgroups", "transform.improving_terms"]
+        readers += [f"{path.stem}.{scope}" for scope, _ in _readers(tree, name)]
+    return sorted(readers)
+
+
+def test_only_improving_terms_and_enumerate_subgroups_call_the_subgroup_search():
+    # every subgroup formula reaches the search through the value bound of
+    # transform.improving_terms; enumerate_subgroups lists the whole lattice
+    assert _src_readers("_search_subgroups") == [
+        "groups.enumerate_subgroups", "transform.improving_terms"
+    ]
+
+
+def test_only_the_delta_chain_and_two_partition_bounds_call_improving_terms():
+    # the three deficiency formulas read the one chain Deltoid.delta_terms
+    # keeps, so none of them can grow a second search; rho_by_pairs and
+    # lambda_lower_bound prune by their own scores
+    assert _src_readers("improving_terms") == [
+        "partition.lambda_lower_bound", "partition.rho_by_pairs", "transform._delta_terms"
+    ]

@@ -23,6 +23,7 @@ from deltoids import (
     rho_by_pairs,
     verify_witness,
     InvalidInputError,
+    InvalidParametersError,
     InvalidWitnessError,
     UnsupportedInfiniteGroupError,
     best_stabilizer_pair,
@@ -188,7 +189,7 @@ def test_deficiency_by_subgroups_nonnegative():
         assert deficiency_by_subgroups(D) >= 0
 
 
-def test_deficiency_by_subgroups_order_bound():
+def test_deficiency_by_subgroups_order_bound(monkeypatch):
     with pytest.raises(ResourceLimitError):
         deficiency_by_subgroups(golden_deltoid(), order_bound=5)
     # a term kept on the deltoid never answers a call whose bound refuses
@@ -206,6 +207,32 @@ def test_deficiency_by_subgroups_order_bound():
             ResourceLimitError, "group order 10007 exceeds enumeration bound 10000"
         )
     assert best_stabilizer_pair(D, order_bound=10007).value == 0
+    assert refusal(find_witness, D, 0) == (
+        ResourceLimitError, "group order 10007 exceeds enumeration bound 10000"
+    )
+    assert find_witness(D, 0, order_bound=10007) is None
+    # find_witness checks its level, then its own bound, before it reads the
+    # chain: a deltoid that keeps one refuses as a fresh one does
+    kept, fresh = golden_deltoid(), golden_deltoid()
+    assert deficiency_by_subgroups(kept) == 3 and "delta_terms" in vars(kept)
+    assert refusal(find_witness, kept, 0, 5) == refusal(find_witness, fresh, 0, 5) == (
+        ResourceLimitError, "group order 12 exceeds enumeration bound 5"
+    )
+    searches = []
+    monkeypatch.setattr(transform, "_search_subgroups", lambda *args: searches.append(args))
+    for D in (kept, fresh):
+        assert refusal(find_witness, D, -1) == (
+            InvalidParametersError, "level must be nonnegative"
+        )
+    assert searches == [] and "delta_terms" not in vars(fresh)
+    free = build_deltoid(
+        GroupSet.of(Z2xZ, [(0, 0), (1, 1)]), GroupSet.of(Z2xZ, [(1, 0), (0, 2)])
+    )
+    for level in (0, 1, 0):
+        assert refusal(find_witness, free, level) == (
+            UnsupportedInfiniteGroupError, "subgroup formulas need a finite group"
+        )
+    assert searches == []
 
 
 def test_deficiency_by_subgroups_refuses_infinite():
@@ -234,7 +261,7 @@ def _memo_instances():
 
 
 def test_memoized_best_term_answers_as_a_fresh_deltoid():
-    # deficiency_by_subgroups and best_stabilizer_pair read one term kept on
+    # deficiency_by_subgroups and best_stabilizer_pair read one chain kept on
     # the deltoid: either call order gives what each gives on its own on a
     # fresh deltoid, and the matching's deficiency
     positive = 0
@@ -252,6 +279,9 @@ def test_memoized_best_term_answers_as_a_fresh_deltoid():
 
 
 def test_one_subgroup_search_serves_both_formulas(monkeypatch):
+    # deficiency_by_subgroups, best_stabilizer_pair and find_witness at every
+    # level from 0 to the deficiency + 1 read one chain kept on the deltoid:
+    # in either call order they search the subgroups once, with equal answers
     searches = []
     search = transform._search_subgroups
 
@@ -261,21 +291,23 @@ def test_one_subgroup_search_serves_both_formulas(monkeypatch):
 
     monkeypatch.setattr(transform, "_search_subgroups", counted)
     for D in _memo_instances():
-        searches.clear()
-        deficiency_by_subgroups(D)
-        best_stabilizer_pair(D)
-        deficiency_by_subgroups(D)
-        assert searches == [D.A.group]
-        # the witness search keeps its own
-        find_witness(D, 0)
-        assert len(searches) == 2
+        levels = range(deficiency(D) + 2)
+        calls = [deficiency_by_subgroups, best_stabilizer_pair,
+                 *[lambda E, level=level: find_witness(E, level) for level in levels]]
+        answers = []
+        for order in (calls, calls[::-1]):
+            fresh = build_deltoid(D.A, D.B)
+            searches.clear()
+            answers.append([call(fresh) for call in order])
+            assert searches == [D.A.group]
+        assert answers[1] == answers[0][::-1]
 
 
 def test_memoized_deltoid_equals_a_fresh_one():
     for D in _memo_instances():
         best_stabilizer_pair(D)
         fresh = build_deltoid(D.A, D.B)
-        assert "best_term" in vars(D) and "best_term" not in vars(fresh)
+        assert "delta_terms" in vars(D) and "delta_terms" not in vars(fresh)
         assert D == fresh and fresh == D and hash(D) == hash(fresh)
 
 
@@ -431,8 +463,8 @@ def test_subgroup_search_agrees_with_the_lattice_scan(monkeypatch):
         assert decoded == expected
         answers = _subgroup_answers(D)
         bound = lambda_lower_bound(D)
-        # a fresh deltoid, so the term D.best_term keeps cannot answer for
-        # the reference
+        # a fresh deltoid, so the chain D.delta_terms keeps cannot answer
+        # for the reference
         fresh = build_deltoid(D.A, D.B)
         with monkeypatch.context() as patched:
             patched.setattr(transform, "_search_subgroups", _reference_search(fresh, False))
@@ -518,7 +550,8 @@ def test_improving_terms_yields_the_improvements_of_the_full_scan():
 def test_one_chain_of_improving_terms_answers_find_witness_at_every_level():
     # every term before the first chain entry above a level L scores at most
     # the chain value before it, itself at most L; so that entry is the first
-    # term above L, and one kept chain could serve find_witness at any level
+    # term above L, at any level, as find_witness reads it from the chain
+    # Deltoid.delta_terms keeps; the chain here is built apart from that one
     for D in _search_instances():
         group, n = D.A.group, D.size
         chain = list(transform.improving_terms(D, lambda f, i: f - n + i, 0))
