@@ -3,10 +3,11 @@
 Two independent routes to the same number live here: an augmenting-path
 maximum matching over the adjacency, and the definitional maximum of
 |S| - |delta(S)| over all 2^|A| subsets (the defect form of Hall's
-condition), folded over the one subset sweep: blocks of 2^16 subsets, each
+condition), read from the one subset sweep: blocks of 2^16 subsets, each
 two byte planes holding |S| and |N(S)| for its subsets S of a list of masks
-(the rows here and for lambda, the columns for rho), of which a reader
-keeps one number.  The two routes are cross-checked in the test suite.
+(the rows, for deficiency, rho and lambda alike), from which subset_least
+finds the least x whose inequality every S clears.  The two routes are
+cross-checked in the test suite.
 The augmenting search is the capacity-k assign, which also builds the
 admissible partitions.  Every certificate (matching pairs, partition
 classes) is decoded by slot_matchings from its Kuhn order; a call that
@@ -180,10 +181,10 @@ def subset_blocks(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
     the count of the others.  One block is held at a time, whatever n is.
     Refuses n above subset_bound at the call, not at the first block.
 
-    Both planes hold values up to n.  Their readers add them lane by lane as
-    one int, sums up to 2n in deficiency_by_subsets and n + 127 in
-    subset_least_k, so no lane carries into the next while n <= 127, the
-    lane limit that _check_subset_bound enforces.
+    Both planes hold values up to n.  subset_least adds sizes and a table
+    of degrees lane by lane as one int, sums up to n + 127, so no lane
+    carries into the next while n <= 127, the lane limit that
+    _check_subset_bound enforces.
     """
     n = _check_subset_bound(len(masks), subset_bound)
     width = (n + 7) // 8  # bytes per lane, enough for one N(S)
@@ -213,47 +214,43 @@ def subset_blocks(masks, subset_bound: int = DEFAULT_SUBSET_BOUND):
     return blocks()
 
 
-def subset_least_k(masks, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
-    """The least k in [1, n] at which no S has |S| > k|N(S)| (see subset_blocks).
+def subset_least(masks, x: int, limit, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
+    """The least x in [x, n] at which no S has |S| > limit(x, |N(S)|) (see subset_blocks).
 
-    lambda's test on D.rows, rho's on D.columns.  It is monotone in k and the
-    caller makes k = n clear, so k only grows: a block failing at k is probed
-    at k + 1, at most blocks + n - 1 probes in all.  Refuses n above subset_bound.
+    The one reader of the sweep: deficiency_by_subsets, rho and lambda each
+    pass their inequality on D.rows.  The test is monotone in x and every
+    caller makes x = n clear, so x only grows: a block failing at x is
+    probed at x + 1, at most blocks + n - x probes in all, with one table
+    per x.  Refuses n above subset_bound.
     """
     blocks = subset_blocks(masks, subset_bound)  # refuses n before a table is built
     n = len(masks)
-    # clear(k): no lane of sizes + T_k[degrees], T_k[y] = 127 - min(k * y, n),
-    # reaches 128; a lane of sizes holds some x <= n, so it does iff x > k * y
-    pad, k = bytes([127 - n]), 1
+    # clear(x): no lane of sizes + T_x[degrees], T_x[y] = 127 - min(limit(x, y), n),
+    # reaches 128; a lane of sizes holds some s <= n, so it does iff s > limit
+    pad = bytes([127 - n])
+
+    def table(x):
+        return bytes([127 - min(limit(x, y), n) for y in range(n + 1)]).ljust(256, pad)
+
+    current = table(x)
     for sizes, degrees in blocks:
         fixed = int.from_bytes(sizes, "little")
-        while k < n:
-            table = bytes(range(127, 126 - n, -k)).ljust(256, pad)
-            lanes = fixed + int.from_bytes(degrees.translate(table), "little")
+        while x < n:
+            lanes = fixed + int.from_bytes(degrees.translate(current), "little")
             if lanes.to_bytes(len(degrees), "little").isascii():
                 break
-            k += 1
-    return k
+            x += 1
+            current = table(x)
+    return x
 
 
 def deficiency_by_subsets(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
     """Definitional oracle: max over all S of |S| - |delta(S)|.
 
-    The largest lane of |S| + (n - |delta(S)|), at least n from S empty: a
-    running best, which each block of subset_blocks raises to the largest
-    value it holds above it.  Refuses instances above subset_bound.
+    The least d >= 0 at which every S has |S| <= |delta(S)| + d; d = n
+    clears.  Refuses instances above subset_bound.
     """
-    blocks = subset_blocks(D.rows, subset_bound)  # refuses n before a table is built
-    n, best = D.size, D.size
-    rest = bytes(range(n, -1, -1)).ljust(256, b"\0")  # x -> n - x
-    for sizes, degrees in blocks:
-        lanes = int.from_bytes(sizes, "little") + int.from_bytes(degrees.translate(rest), "little")
-        lanes = lanes.to_bytes(len(sizes), "little")
-        for top in range(2 * n, best, -1):
-            if top in lanes:
-                best = top
-                break
-    return best - n
+    return subset_least(D.rows, 0, lambda d, y: y + d, subset_bound)
 
 
 def verify_matching(D: Deltoid, f: PartialMatching) -> Verdict:

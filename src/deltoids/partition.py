@@ -25,7 +25,7 @@ from .matching import (
     _check_subset_bound,
     assign,
     slot_matchings,
-    subset_least_k,
+    subset_least,
     verify_matching,
 )
 from .sets import Deltoid
@@ -85,17 +85,15 @@ def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
 
     math.inf when some element of B stabilizes A; otherwise the maximum of
     ceil(|U_S| / (|A| - |S|)) over proper subsets S, which is at least 1.
-    Since ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at
-    which no proper S has n - |delta(S)| > k(n - |S|), or equally no T in B
-    has |T| > k|N(T)|, N(T) the a with an edge into T: lambda's test on the
-    columns, found by subset_least_k over their subset sweep.  Given S,
-    take T = U_S; given T, take S = A \\ N(T), proper unless T holds a zero
-    column, which makes rho infinite and is checked first.
+    Since ceil(u / r) <= k iff u <= k*r, with u = n - |delta(S)| that is
+    the least k in [1, n] at which every S has |S| <= n - ceil(u / k),
+    found by subset_least over the subset sweep of the rows.  S = A clears
+    every k, since delta(A) = B when rho is finite.
     """
     if _rho_is_infinite(D):
         return math.inf
-    _check_subset_bound(D.size, subset_bound)  # before D.columns is built
-    return subset_least_k(D.columns, subset_bound)
+    n = D.size
+    return subset_least(D.rows, 1, lambda k, y: n - _ceil_div(n - y, k), subset_bound)
 
 
 def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
@@ -103,8 +101,8 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
 
     Always finite since delta(S) is nonempty for nonempty S.  Since
     ceil(x / y) <= k iff x <= k*y, that is the least k in [1, n] at which
-    no nonempty S has |S| > k|delta(S)|, found by subset_least_k over the
-    subset sweep of the rows.
+    every S has |S| <= k|delta(S)|, found by subset_least over the subset
+    sweep of the rows.
     """
     _check_subset_bound(D.size, subset_bound)
     # delta(S), the OR of S's rows, is empty for some nonempty S iff a row is
@@ -112,7 +110,7 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
     # a + B = A (n elements each), so a = a + b for some b, and 0 = b is in B
     if 0 in D.rows:
         raise InternalInconsistencyError("nonempty S with empty neighborhood")
-    return subset_least_k(D.rows, subset_bound)
+    return subset_least(D.rows, 1, lambda k, y: k * y, subset_bound)
 
 
 def _partition(D: Deltoid, k: int, side: str) -> AdmissiblePartition | None:

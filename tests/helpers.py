@@ -592,6 +592,14 @@ def ceil_div(a, b):
     return -(-a // b)
 
 
+def hall_inequality_holds(D, d):
+    """Brute check of |S| <= |delta(S)| + d over all subsets of A."""
+    for s_elems in subsets_of(D.A.elements):
+        if len(s_elems) > len(brute_delta_elems(D, s_elems)) + d:
+            return False
+    return True
+
+
 def left_inequality_holds(D, k):
     """Brute check of |S| <= k * |delta(S)| over all subsets of A."""
     for s_elems in subsets_of(D.A.elements):

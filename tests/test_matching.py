@@ -21,7 +21,7 @@ from deltoids import (
     rho,
     verify_matching,
 )
-from deltoids.matching import _check_subset_bound, assign, subset_blocks, subset_least_k
+from deltoids.matching import _check_subset_bound, assign, subset_blocks, subset_least
 from helpers import (
     Z2xZ,
     Z2xZ4,
@@ -188,12 +188,12 @@ def test_deficiency_by_subsets_bound():
 @pytest.mark.parametrize("n", [130, 256])
 def test_sweeps_refuse_large_n_before_any_table(n):
     # each built a byte table from n before the bound was checked, which
-    # raised ValueError from subset_least_k at n >= 128 and from both at
-    # n >= 256
+    # raised ValueError from the least-k reader at n >= 128 and from both
+    # at n >= 256
     D = cyclic_instance(random.Random(n), 4001, n, "uniform")
     message = f"|A| = {n} exceeds subset sweep bound 22"
     assert refusal(deficiency_by_subsets, D) == (ResourceLimitError, message)
-    assert refusal(subset_least_k, D.rows) == (ResourceLimitError, message)
+    assert refusal(subset_least, D.rows, 1, lambda k, y: k * y) == (ResourceLimitError, message)
 
 
 def test_sweep_lane_limit_is_refused_whatever_the_bound():
@@ -204,9 +204,9 @@ def test_sweep_lane_limit_is_refused_whatever_the_bound():
     assert refusal(_check_subset_bound, 128, 1000) == (ResourceLimitError, message)
     assert _check_subset_bound(127, 1000) == 127
     D = cyclic_instance(random.Random(128), 4001, 128, "uniform")
-    for sweep, masks in ((subset_blocks, D.rows), (subset_least_k, D.rows),
+    for sweep, *args in ((subset_blocks, D.rows), (subset_least, D.rows, 1, lambda k, y: k * y),
                          (deficiency_by_subsets, D), (rho, D), (lambda_, D)):
-        assert refusal(sweep, masks, 1000) == (ResourceLimitError, message)
+        assert refusal(sweep, *args, 1000) == (ResourceLimitError, message)
 
 
 def joined_blocks(masks):

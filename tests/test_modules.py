@@ -30,7 +30,7 @@ def test_only_groups_touches_the_mask_encoding():
 
 
 def test_only_matching_touches_the_subset_planes():
-    # partition's rho and lambda read the sweep through matching.subset_least_k
+    # partition's rho and lambda read the sweep through matching.subset_least
     sources = sorted(SRC.glob("*.py"))
     assert "matching.py" in {path.name for path in sources}
     offenders = []
@@ -84,3 +84,9 @@ def test_only_the_delta_chain_and_two_partition_bounds_call_improving_terms():
     assert _src_readers("improving_terms") == [
         "partition.lambda_lower_bound", "partition.rho_by_pairs", "transform._delta_terms"
     ]
+
+
+def test_only_the_polynomial_right_side_routes_read_the_columns():
+    # rho's subset sweep reads D.rows like deficiency_by_subsets and
+    # lambda_, so a fault in Deltoid.columns cannot hide in both rho routes
+    assert _src_readers("columns") == ["partition._partition", "partition.rho_by_feasibility"]

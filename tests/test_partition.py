@@ -32,11 +32,12 @@ from deltoids import (
     validate_partition,
     verify_witness,
 )
-from deltoids.matching import subset_least_k
+from deltoids.matching import subset_least
 from deltoids.partition import _least_k
 from helpers import (
     Z6,
     Z2xZ,
+    hall_inequality_holds,
     left_inequality_holds,
     random_instance,
     right_inequality_holds,
@@ -81,11 +82,15 @@ def test_rho_sweep_bound():
 
 
 def test_rho_refuses_before_building_the_columns():
-    # the sweep bound is checked before D.columns, a full transposition
+    # rho sweeps the rows and never builds D.columns, a full transposition,
+    # whether it refuses at the sweep bound or answers within it
     group = GroupSpec((97,))
     D = build_deltoid(gset(group, cyc(*range(23))), gset(group, cyc(*range(1, 24))))
     with pytest.raises(ResourceLimitError, match=r"^\|A\| = 23 exceeds subset sweep bound 22$"):
         rho(D)
+    assert "columns" not in D.__dict__
+    D = build_deltoid(gset(group, cyc(*range(12))), gset(group, cyc(*range(1, 13))))
+    assert rho(D) == rho_by_feasibility(build_deltoid(D.A, D.B)) < math.inf
     assert "columns" not in D.__dict__
 
 
@@ -214,22 +219,32 @@ def test_max_matching_and_one_class_partition_share_one_search():
 
 
 def test_subset_probes_agree_with_the_inequalities_for_every_k():
-    # rho's probe is lambda's on the columns: some T in B has |T| > k|N(T)|
-    # iff some proper S has n - |delta(S)| > k(n - |S|); a zero column (rho
-    # infinite) fails every k on both sides.  Both inequalities are monotone
-    # in k, so subset_least_k must stop at the first k where they hold.
+    # deficiency, lambda and rho each pass subset_least their inequality on
+    # D.rows: |S| <= |delta(S)| + d from d = 0, |S| <= k|delta(S)| and
+    # |U_S| <= k(n - |S|) from k = 1.  Each is monotone in x, so from any
+    # start x subset_least must stop at the first x' >= x where it holds.
+    # A zero column (rho infinite) fails rho's at every k; rho answers it
+    # before any sweep.
     rng = random.Random(17)
     seeded = [random_instance(rng, group, max_size=8) for group in (Z12, Z2xZ) for _ in range(20)]
     infinite = 0
     for D in [*exhaustive_instances(Z6, (1, 2, 3)), *seeded]:
-        infinite += rho(D) is math.inf
-        for masks, holds in ((D.rows, left_inequality_holds), (D.columns, right_inequality_holds)):
-            verdicts = [holds(D, k) for k in range(1, D.size + 1)]
+        n = D.size
+        probes = (
+            (0, lambda d, y: y + d, hall_inequality_holds),
+            (1, lambda k, y: k * y, left_inequality_holds),
+            (1, lambda k, y: n - ceil_div(n - y, k), right_inequality_holds),
+        )
+        for start, limit, holds in probes:
+            verdicts = [holds(D, x) for x in range(start, n + 1)]
             assert verdicts == sorted(verdicts)
-            if verdicts[-1]:
-                assert subset_least_k(masks) == verdicts.index(True) + 1
-            else:
-                assert masks is D.columns and rho(D) is math.inf
+            if not verdicts[-1]:
+                assert holds is right_inequality_holds and rho(D) is math.inf
+                infinite += 1
+                continue
+            least = start + verdicts.index(True)
+            for x in range(start, n + 1):
+                assert subset_least(D.rows, x, limit) == max(x, least)
     assert infinite > 0
 
 

@@ -1,7 +1,8 @@
 """The 2^|A| subset sweeps against verbatim copies of the mask-table scans.
 
-deficiency_by_subsets, rho and lambda_ fold over the byte-plane blocks of
-matching.subset_blocks; the references in helpers.py scan the 8-byte
+deficiency_by_subsets, rho and lambda_ read the byte-plane blocks of
+matching.subset_blocks through matching.subset_least, each with its own
+inequality over the rows; the references in helpers.py scan the 8-byte
 neighborhood table they replaced.  Both must agree everywhere, including
 across the 2^16-subset blocks the sweep streams, on infinite rho and on
 the refusals.
@@ -20,6 +21,7 @@ from deltoids import (
     GroupSpec,
     InternalInconsistencyError,
     ResourceLimitError,
+    build_deltoid,
     deficiency_by_subsets,
     lambda_,
     rho,
@@ -31,9 +33,11 @@ from helpers import (
     Z2xZ4,
     Z6,
     Z12,
+    cyc,
     cyclic_instance,
     exhaustive_instances,
     golden_deltoid,
+    gset,
     random_instance,
     reference_deficiency_by_subsets,
     reference_lambda,
@@ -99,6 +103,53 @@ def test_sweeps_agree_on_infinite_rho():
         rows = [(row & ~(1 << (n - 1))) | 1 for row in rows]
         D = rows_deltoid(rows)
         assert rho(D) is math.inf
+        assert_sweeps_agree(D)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 17])
+def test_sweeps_agree_at_the_cap(n):
+    # subset_least answers n when no x below n clears: all-zero rows give
+    # delta n, one full row before n - 1 empty ones rho n (S the empty rows,
+    # a late-block S at n = 17), one shared column lambda n; full rows never
+    # move x from its start
+    full = (1 << n) - 1
+    cases = {
+        "zero": ([0] * n, (n, math.inf)),
+        "one full": ([full] + [0] * (n - 1), (n - 1, n)),
+        "one column": ([1] * n, (n - 1, 1 if n == 1 else math.inf, n)),
+        "full": ([full] * n, (0, 1, 1)),
+    }
+    for name, (rows, expected) in cases.items():
+        D = rows_deltoid(rows)
+        assert tuple(sweep(D) for sweep, _ in SWEEPS[:len(expected)]) == expected, name
+        assert_sweeps_agree(D)
+
+
+def _coset_heavy_instance(rng):
+    # A is c full cosets of H = <N / h> in Z_N plus m <= h / 2 elements of
+    # one more, and B starts with H \ {0}: with c >= 1, S the full cosets
+    # leaves U_S = H \ {0} over n - |S| = m, so rho >= ceil((h - 1) / m)
+    # unless the partial coset makes some b of H stabilize A (rho infinite)
+    N, h = rng.choice(((24, 6), (24, 8), (36, 6), (36, 9), (48, 8), (48, 12)))
+    step = N // h
+    m = rng.randint(1, h // 2)
+    reps = rng.sample(range(step), rng.randint(1, (14 - m) // h + 1))
+    a_elems = {r + step * i for r in reps[:-1] for i in range(h)}
+    a_elems |= {reps[-1] + step * i for i in rng.sample(range(h), m)}
+    b_elems = [step * i for i in range(1, h)][:len(a_elems)]
+    pool = [x for x in range(1, N) if x % step]
+    b_elems += rng.sample(pool, len(a_elems) - len(b_elems))
+    group = GroupSpec((N,))
+    return build_deltoid(gset(group, cyc(*a_elems)), gset(group, cyc(*b_elems)))
+
+
+def test_sweeps_agree_on_coset_heavy_instances():
+    # random instances rarely have rho >= 3, where ceil((n - y) / k) and a
+    # floor in its place part; these reach it often
+    rng = random.Random(31)
+    instances = [_coset_heavy_instance(rng) for _ in range(80)]
+    assert sum(math.inf > rho(D) >= 3 for D in instances) >= 10
+    for D in instances:
         assert_sweeps_agree(D)
 
 
@@ -182,7 +233,7 @@ def test_sweep_bound_is_checked_before_any_work():
         with pytest.raises(ResourceLimitError) as refused:
             sweep(D)
         assert str(refused.value) == message
-    # rho refused after its infinite check and before building the columns
+    # rho refused after its infinite check; it never builds the columns
     assert D.rows and "columns" not in D.__dict__
     # the stream refuses at the call, not at its first block
     with pytest.raises(ResourceLimitError, match=re.escape(message)):
@@ -204,21 +255,17 @@ def _planted_rows(n, rng):
     return rows
 
 
-def _transpose(rows):
-    return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(len(rows))]
-
-
 @pytest.mark.parametrize("n", [17, 18, 20])
 def test_sweeps_agree_when_only_a_late_block_decides(n):
     rows = _planted_rows(n, random.Random(n))
     sizes, degrees = next(subset_blocks(rows))
-    # the answers the first block alone gives: delta 0 and least k 1
+    # the answers the first block alone gives: delta 0, least k 1 for
+    # lambda and for rho (no S of the block is A, so each is proper)
     assert max(s - d for s, d in zip(sizes, degrees)) == 0
     assert max(-(-s // d) for s, d in zip(sizes, degrees) if s) == 1
+    assert max(-(-(n - d) // (n - s)) for s, d in zip(sizes, degrees)) == 1
     D = rows_deltoid(rows)
-    # rho sweeps the columns, so on the transpose it sweeps these rows
-    R = rows_deltoid(_transpose(rows))
-    assert R.columns == D.rows
     assert deficiency_by_subsets(D) == reference_deficiency_by_subsets(D) >= 1
     assert lambda_(D) == reference_lambda(D) >= 2
-    assert math.inf > rho(R) == reference_rho(R) >= 2
+    # the planted set S spans a late block: |U_S| = n - 2 over n - |S| = 14
+    assert math.inf > rho(D) == reference_rho(D) >= 2
