@@ -7,7 +7,6 @@ from .errors import (
     IdentityInBError,
     InfiniteRhoError,
     InfiniteSubgroupError,
-    InternalConstructorError,
     InternalInconsistencyError,
     InvalidDefectError,
     InvalidElementError,

@@ -17,7 +17,6 @@ from . import __version__
 from .errors import (
     DeltoidError,
     InfiniteRhoError,
-    InternalConstructorError,
     InternalInconsistencyError,
     NoConstructionError,
     ResourceLimitError,
@@ -231,8 +230,6 @@ def _cmd_match(deltoid: Deltoid, args) -> tuple:
 
 
 def _cmd_witness(deltoid: Deltoid, args) -> tuple:
-    if args.ell < 0:
-        raise InstanceFileError("--ell must be nonnegative")
     witness = find_witness(deltoid, args.ell)
     results = {"present": witness is not None, "ell": args.ell}
     if witness is None:
@@ -410,7 +407,7 @@ def main(argv=None) -> int:
         code, results, certificates = args.handler(subject, args)
     except ResourceLimitError as err:
         message, code = f"resource limit: {err}", 3
-    except (InternalInconsistencyError, InternalConstructorError) as err:
+    except InternalInconsistencyError as err:
         message, code = f"internal error: {err}", 4
     except DeltoidError as err:
         message, code = str(err), 2

@@ -61,10 +61,6 @@ class NoConstructionError(DeltoidError):
     """No qualifying subgroup exists for the requested size and level."""
 
 
-class InternalConstructorError(DeltoidError):
-    """Constructor ran out of elements; indicates a logic bug, not bad input."""
-
-
 class InfiniteRhoError(DeltoidError):
     """Right partition number is infinite; the requested formula needs it finite."""
 

@@ -397,7 +397,7 @@ class _Members:
         return iter(members(self.mask, self.masks.size, self.items, self.codes))
 
 
-def _search_subgroups(group: GroupSpec, order_bound: int, generators, within, grows=None):
+def _search_subgroups(group: GroupSpec, generators, within, grows=None):
     """The subgroups H generated by elements of `generators` that have a
     full coset in the finite set `within`, lazily in canonical order: size,
     then elements.
@@ -412,9 +412,8 @@ def _search_subgroups(group: GroupSpec, order_bound: int, generators, within, gr
     smaller one is grown; each size is then sorted and yielded in turn.
     After each H, grows(|full cosets|) says whether to grow it (None:
     always); a supergroup reached only through ungrown subgroups is never
-    found.
+    found.  Its callers have checked the group with _check_searchable.
     """
-    _check_searchable(group, order_bound)
     masks = _Masks(group)
     generators, within = tuple(generators), tuple(within)
     gen_codes = [masks.code(x) for x in generators]
@@ -462,7 +461,7 @@ def enumerate_subgroups(
     _check_searchable(group, order_bound)  # before the elements are listed
     everything = elements_of(group)
     return [GroupSet(group, tuple(h))
-            for h, _ in _search_subgroups(group, order_bound, everything, everything)]
+            for h, _ in _search_subgroups(group, everything, everything)]
 
 
 def first_subgroup_of_order(group: GroupSpec, m: int) -> GroupSet:

@@ -17,12 +17,11 @@ from .errors import (
     InvalidParametersError,
     InvalidWitnessError,
 )
-from .groups import DEFAULT_ORDER_BOUND, GroupSet, _Value
+from .groups import DEFAULT_ORDER_BOUND, GroupSet, _check_searchable, _Value
 from .matching import (
     DEFAULT_SUBSET_BOUND,
     PartialMatching,
     Verdict,
-    _check_subset_bound,
     assign,
     slot_matchings,
     subset_least,
@@ -104,13 +103,13 @@ def lambda_(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int:
     every S has |S| <= k|delta(S)|, found by subset_least over the subset
     sweep of the rows.
     """
-    _check_subset_bound(D.size, subset_bound)
+    k = subset_least(D.rows, 1, lambda k, y: k * y, subset_bound)
     # delta(S), the OR of S's rows, is empty for some nonempty S iff a row is
     # 0; otherwise k = n clears every S.  No row is 0: a + B inside A means
     # a + B = A (n elements each), so a = a + b for some b, and 0 = b is in B
     if 0 in D.rows:
         raise InternalInconsistencyError("nonempty S with empty neighborhood")
-    return subset_least(D.rows, 1, lambda k, y: k * y, subset_bound)
+    return k
 
 
 def _partition(D: Deltoid, k: int, side: str) -> AdmissiblePartition | None:
@@ -193,13 +192,14 @@ def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
     """
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
+    _check_searchable(D.A.group, order_bound)
     n = D.size
 
     def score(full, inside):
         return math.inf if full >= n else _ceil_div(inside, n - full)
 
     best = 1
-    for best, _, _ in improving_terms(D, score, 1, order_bound):
+    for best, _, _ in improving_terms(D, score, 1):
         if best == math.inf:
             raise InternalInconsistencyError("A is a union of cosets meeting B")
     return best
@@ -211,13 +211,14 @@ def lambda_lower_bound(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> in
     Each H contributes ceil(|full H-cosets in A| / (|B| - |B n H|)), the
     floor being 1.  Reads only the two counts of each term (improving_terms).
     """
+    _check_searchable(D.A.group, order_bound)
     n = D.size
 
     def score(full, inside):
         return math.inf if inside >= n else _ceil_div(full, n - inside)
 
     best = 1
-    for best, _, _ in improving_terms(D, score, 1, order_bound):
+    for best, _, _ in improving_terms(D, score, 1):
         if best == math.inf:
             raise InternalInconsistencyError("B inside a subgroup with a full coset in A")
     return best

@@ -10,7 +10,7 @@ pairs of prescribed size whose deficiency exceeds a prescribed level.
 from __future__ import annotations
 
 from .errors import (
-    InternalConstructorError,
+    InternalInconsistencyError,
     InvalidParametersError,
     NoConstructionError,
 )
@@ -175,12 +175,12 @@ def construct_deficient_pair(
     everything = elements_of(group)
     Y = GroupSet.of(group, [x for x in everything if x not in S.member_set][:r])
     if len(Y.elements) < r:
-        raise InternalConstructorError("ran out of elements for Y")
+        raise InternalInconsistencyError("ran out of elements for Y")
     z_count = n - m + 1
     Z = GroupSet.of(group, [x for x in everything if x not in sub.member_set][:z_count])
     if len(Z.elements) < z_count:
-        raise InternalConstructorError("ran out of elements for Z")
+        raise InternalInconsistencyError("ran out of elements for Z")
     R = GroupSet(group, sub.elements[1:])  # the identity sorts first in H
     if len(S.union(Y).elements) != n or len(R.union(Z).elements) != n:
-        raise InternalConstructorError("constructed sets have the wrong size")
+        raise InternalInconsistencyError("constructed sets have the wrong size")
     return ObstructionWitness(S=S, R=R, Y=Y, Z=Z, level=level)

@@ -128,7 +128,7 @@ def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet
         S, R = e_transform_step(S, R, *witness)
 
 
-def improving_terms(D: Deltoid, score, best, order_bound: int = DEFAULT_ORDER_BOUND):
+def improving_terms(D: Deltoid, score, best):
     """Yield (value, full, inside) per subgroup term whose value beats best and all before.
 
     The terms are (full H-cosets inside A, B n H) per H = <B n H> != 1 with
@@ -146,7 +146,7 @@ def improving_terms(D: Deltoid, score, best, order_bound: int = DEFAULT_ORDER_BO
     is not grown once that is at most best, so no term that could beat best
     is lost: the yields are those of the unpruned scan.
     """
-    terms = _search_subgroups(D.A.group, order_bound, D.B.elements, D.A.elements,
+    terms = _search_subgroups(D.A.group, D.B.elements, D.A.elements,
                               lambda f: score(f, f - 1) > best)
     next(terms)  # the trivial subgroup: full = A, B n H empty
     for inside, full in terms:
@@ -159,10 +159,9 @@ def _delta_terms(D: Deltoid):
     # The chain of improving terms |full(H)| - n + |B n H| from the trivial
     # (0, A, ()): the last is the canonically first best, and the first above
     # a level L is the first term above L, as each term before it scores at
-    # most L.  Deltoid.delta_terms keeps it, so the search takes the group's
-    # own order as its bound: each reader checks its own bound first.
+    # most L.  Deltoid.delta_terms keeps it; each reader checks its own bound.
     n = D.size
-    terms = improving_terms(D, lambda f, inside: f - n + inside, 0, D.A.group.order)
+    terms = improving_terms(D, lambda f, inside: f - n + inside, 0)
     return ((0, D.A, ()), *terms)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from deltoids import InternalInconsistencyError, cli, parse_group
+from deltoids import GroupSet, InternalInconsistencyError, cli, elements_of, parse_group, structure
 from deltoids.cli import main
 from helpers import schema_errors
 
@@ -182,6 +182,16 @@ def test_witness_present_and_absent(capsys, tmp_path):
     code, report, _ = run_json(capsys, "witness", FIXTURE, "--ell", "3")
     assert code == 1
     assert report["results"]["reason"] == "no witness: deficiency not greater than ell"
+
+
+def test_negative_ell_is_refused_by_the_library(capsys):
+    # find_witness and existence_predicate check the level; the CLI has no
+    # second check, so witness and construct print the same line
+    for argv in (
+        ["witness", FIXTURE, "--ell", "-1"],
+        ["construct", "--group", "Z12", "--n", "8", "--ell", "-1"],
+    ):
+        assert run_cli(capsys, *argv) == (2, "", "deltoids: level must be nonnegative\n"), argv
 
 
 def test_match_roundtrip_and_exit_codes(capsys, tmp_path):
@@ -821,6 +831,18 @@ def test_internal_fault_exits_four(capsys, monkeypatch, fault):
     code, out, err = run_cli(capsys, "deficiency", FIXTURE)
     assert code == 4 and not out and err.count("\n") == 1
     assert err.startswith("deltoids: internal error: ")
+
+
+def test_constructor_fault_exits_four(capsys, monkeypatch):
+    # a qualifying subgroup as large as the group leaves R + Z too big; the
+    # constructor's guard is an internal fault, not bad input
+    group = parse_group("Z12")
+    whole = GroupSet(group, tuple(elements_of(group)))
+    monkeypatch.setattr(structure, "existence_predicate", lambda *args: whole)
+    argv = ["construct", "--group", "Z12", "--n", "8", "--ell", "2"]
+    assert run_cli(capsys, *argv) == (
+        4, "", "deltoids: internal error: constructed sets have the wrong size\n"
+    )
 
 
 def test_benchmark_spans_fire_once_per_run(capsys, monkeypatch):

@@ -7,9 +7,11 @@ import sys
 import pytest
 
 from deltoids import (
+    Deltoid,
     GroupSet,
     GroupSpec,
     InfiniteRhoError,
+    InternalInconsistencyError,
     InvalidParametersError,
     InvalidWitnessError,
     ObstructionWitness,
@@ -348,6 +350,28 @@ def test_lambda_lower_bound_golden_and_sweep():
     assert lambda_lower_bound(golden_deltoid()) == 2
     for D in exhaustive_instances(Z6, sizes=(1, 2, 3)):
         assert lambda_lower_bound(D) <= lambda_(D)
+
+
+def _coset_deltoid(B):
+    # A = {0, 6} in Z12 with every pair an edge: built without build_deltoid,
+    # so its rows contradict its sets and reach the subgroup routes' guards
+    return Deltoid(gset(Z12, cyc(0, 6)), gset(Z12, B), (0b11, 0b11))
+
+
+def test_partition_fault_guards_refuse_an_inconsistent_deltoid():
+    # a real deltoid has 6 stabilizing A = <6> (rho infinite) and 0 outside B
+    assert refusal(rho_by_pairs, _coset_deltoid(cyc(6, 1))) == (
+        InternalInconsistencyError, "A is a union of cosets meeting B"
+    )
+    assert refusal(lambda_lower_bound, _coset_deltoid(cyc(0, 6))) == (
+        InternalInconsistencyError, "B inside a subgroup with a full coset in A"
+    )
+    D = _coset_deltoid(cyc(6, 1))
+    w = ObstructionWitness(D.A, gset(Z12, cyc(6)), gset(Z12, []), gset(Z12, cyc(1)), 0)
+    assert verify_witness(D, w)
+    assert refusal(rho_estimate_from_witness, D, w) == (
+        InternalInconsistencyError, "verified witness with empty Y yet finite rho"
+    )
 
 
 def test_rho_estimate_from_witness_golden():

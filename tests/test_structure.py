@@ -8,6 +8,7 @@ import pytest
 
 from deltoids import (
     GroupSpec,
+    InternalInconsistencyError,
     InvalidParametersError,
     NoConstructionError,
     ObstructionWitness,
@@ -19,8 +20,10 @@ from deltoids import (
     find_witness,
     parse_group,
     partial_matching_with_defect,
+    structure,
     verify_witness,
 )
+from deltoids.groups import first_subgroup_of_order
 from helpers import (
     TRIVIAL,
     Z2xZ2,
@@ -299,6 +302,20 @@ def test_forward_direction_from_random_instances():
             continue
         for level in range(min(delta, 5)):
             assert existence_predicate(Z12, n, level) is not None
+
+
+@pytest.mark.parametrize("n, order, message", [
+    (13, 2, "ran out of elements for Y"),
+    (12, 1, "ran out of elements for Z"),
+    (8, 12, "constructed sets have the wrong size"),
+])
+def test_construct_guards_refuse_a_wrong_subgroup(monkeypatch, n, order, message):
+    # existence_predicate never returns these: <6> leaves no element for Y
+    # at n = 13, {0} leaves 11 for 12 of Z, and Z12 itself makes |R| = 11
+    sub = first_subgroup_of_order(Z12, order)
+    monkeypatch.setattr(structure, "existence_predicate", lambda *args: sub)
+    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+        construct_deficient_pair(Z12, n, 0)
 
 
 def test_construct_rejected_when_predicate_absent():

@@ -410,10 +410,10 @@ def _reference_search(D, with_full_coset):
     # keeps only the terms with a full coset in A, which lambda_lower_bound
     # needs where a B inside H would make its denominator 0; grows is
     # ignored, as by the reference
-    def search(group, order_bound, generators, within, grows=None):
+    def search(group, generators, within, grows=None):
         assert (group, generators, within) == (D.A.group, D.B.elements, D.A.elements)
         yield (), D.A
-        for full, inside in reference_subgroup_terms(D, order_bound):
+        for full, inside in reference_subgroup_terms(D):
             if full.elements or not with_full_coset:
                 yield inside, full
     return search
@@ -453,9 +453,7 @@ def test_subgroup_search_agrees_with_the_lattice_scan(monkeypatch):
             for h, (full, inside) in zip(meets_b, reference_subgroup_terms(D), strict=True)
             if full.elements and generate_subgroup(group, inside.elements) == h
         ]
-        terms = transform._search_subgroups(
-            group, DEFAULT_ORDER_BOUND, D.B.elements, D.A.elements
-        )
+        terms = transform._search_subgroups(group, D.B.elements, D.A.elements)
         inside, full = next(terms)  # the trivial term, which improving_terms skips
         assert (tuple(inside), tuple(full)) == ((), D.A.elements)
         decoded = [(GroupSet(group, tuple(full)), GroupSet(group, tuple(inside)))
