@@ -2,21 +2,11 @@
 
 from .errors import (
     DeltoidError,
-    EmptySetError,
-    GroupMismatchError,
-    IdentityInBError,
     InfiniteRhoError,
-    InfiniteSubgroupError,
     InternalInconsistencyError,
-    InvalidDefectError,
-    InvalidElementError,
     InvalidInputError,
-    InvalidParametersError,
-    InvalidWitnessError,
     NoConstructionError,
-    NotASubsetError,
     ResourceLimitError,
-    SizeMismatchError,
     UnsupportedInfiniteGroupError,
 )
 from .groups import (

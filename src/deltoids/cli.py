@@ -18,6 +18,7 @@ from .errors import (
     DeltoidError,
     InfiniteRhoError,
     InternalInconsistencyError,
+    InvalidInputError,
     NoConstructionError,
     ResourceLimitError,
     UnsupportedInfiniteGroupError,
@@ -44,10 +45,6 @@ from .partition import (
 from .sets import Deltoid, build_deltoid, chowla_defect
 from .structure import ObstructionWitness, construct_deficient_pair, find_witness, verify_witness
 from .transform import deficiency_by_subgroups
-
-
-class InstanceFileError(DeltoidError):
-    """Instance or certificate JSON is malformed; message names the field."""
 
 
 # --- JSON encoding: the library's tuples render as JSON arrays -------------
@@ -81,10 +78,10 @@ def _partition_cert(p: AdmissiblePartition) -> dict:
 def _elements(raw, where: str) -> list:
     """Check a JSON array of elements, each an array of integers (no booleans)."""
     if not isinstance(raw, list):
-        raise InstanceFileError(f"{where} must be an array of elements")
+        raise InvalidInputError(f"{where} must be an array of elements")
     for x in raw:
         if not isinstance(x, list) or any(type(c) is not int for c in x):
-            raise InstanceFileError(
+            raise InvalidInputError(
                 f"{where}: element {json.dumps(x)} is not an array of integers"
             )
     return raw
@@ -93,13 +90,13 @@ def _elements(raw, where: str) -> list:
 def _array(value, field: str) -> list:
     """Check a certificate field the report schema types as an array; errors name it."""
     if not isinstance(value, list):
-        raise InstanceFileError(f"certificate: {field} must be an array")
+        raise InvalidInputError(f"certificate: {field} must be an array")
     return value
 
 
 def _require(obj: dict, field: str, path: str):
     if field not in obj:
-        raise InstanceFileError(f"{path}: missing field {field!r}")
+        raise InvalidInputError(f"{path}: missing field {field!r}")
     return obj[field]
 
 
@@ -107,7 +104,7 @@ def _count(obj: dict, field: str) -> int:
     """A certificate's nonnegative integer field (no booleans, floats or strings)."""
     value = _require(obj, field, "certificate")
     if type(value) is not int or value < 0:
-        raise InstanceFileError(f"certificate: {field} must be a nonnegative integer")
+        raise InvalidInputError(f"certificate: {field} must be a nonnegative integer")
     return value
 
 
@@ -117,14 +114,14 @@ def _read_object(path: str) -> dict:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as err:
-        raise InstanceFileError(f"{path}: {err.strerror or err}") from None
+        raise InvalidInputError(f"{path}: {err.strerror or err}") from None
     except json.JSONDecodeError as err:
-        raise InstanceFileError(f"{path}: invalid JSON ({err.msg} at line {err.lineno})") from None
+        raise InvalidInputError(f"{path}: invalid JSON ({err.msg} at line {err.lineno})") from None
     except (ValueError, RecursionError) as err:
         # not UTF-8, an integer past int()'s digit limit, or nested too deeply
-        raise InstanceFileError(f"{path}: unreadable JSON ({err})") from None
+        raise InvalidInputError(f"{path}: unreadable JSON ({err})") from None
     if not isinstance(data, dict):
-        raise InstanceFileError(f"{path}: top level must be an object")
+        raise InvalidInputError(f"{path}: top level must be an object")
     return data
 
 
@@ -136,9 +133,9 @@ def load_instance(path: str) -> tuple[Deltoid, dict, list[str]]:
     """
     data = _read_object(path)
     if unknown := sorted(set(data) - {"group", "A", "B"}):
-        raise InstanceFileError(f"{path}: unknown field {unknown[0]!r}")
+        raise InvalidInputError(f"{path}: unknown field {unknown[0]!r}")
     if not isinstance(literal := _require(data, "group", path), str):
-        raise InstanceFileError(f"{path}: field 'group' must be a string")
+        raise InvalidInputError(f"{path}: field 'group' must be a string")
     group = parse_group(literal)
     warnings = []
     sets = {}
@@ -161,7 +158,7 @@ def _pairs(group, pairs, field: str) -> tuple:
     canon = []
     for pair in _array(pairs, field):
         if len(_elements(pair, "certificate: pair")) != 2:
-            raise InstanceFileError("certificate: each pair must be [a, b]")
+            raise InvalidInputError("certificate: each pair must be [a, b]")
         canon.append((canonicalize(group, pair[0]), canonicalize(group, pair[1])))
     return tuple(canon)
 
@@ -179,7 +176,7 @@ def _parse_witness(group, obj: dict) -> ObstructionWitness:
 def _parse_partition(group, size: int, obj: dict) -> AdmissiblePartition:
     side = _require(obj, "side", "certificate")
     if side not in ("left", "right"):
-        raise InstanceFileError('certificate: side must be "left" or "right"')
+        raise InvalidInputError('certificate: side must be "left" or "right"')
     classes = tuple(
         GroupSet.of(group, _elements(c, "certificate: class"))
         for c in _array(_require(obj, "classes", "certificate"), "classes")
@@ -310,7 +307,7 @@ def _verify_one(deltoid: Deltoid, obj: dict) -> tuple[str, bool, str]:
     elif kind == "partition":
         verdict = validate_partition(deltoid, _parse_partition(group, deltoid.size, obj))
     else:
-        raise InstanceFileError(f"certificate: unknown kind {kind!r}")
+        raise InvalidInputError(f"certificate: unknown kind {kind!r}")
     return kind, bool(verdict), verdict.reason
 
 
@@ -321,15 +318,15 @@ def _cmd_verify(deltoid: Deltoid, args) -> tuple:
     elif "kind" in data:
         named = {"certificate": data}
     else:
-        raise InstanceFileError("certificate file has neither 'kind' nor 'certificates'")
+        raise InvalidInputError("certificate file has neither 'kind' nor 'certificates'")
     if not isinstance(named, dict):
-        raise InstanceFileError("'certificates' must be an object")
+        raise InvalidInputError("'certificates' must be an object")
     if not named:
-        raise InstanceFileError("'certificates' is empty: nothing to verify")
+        raise InvalidInputError("'certificates' is empty: nothing to verify")
     checks = []
     for name in sorted(named):
         if not isinstance(named[name], dict):
-            raise InstanceFileError(f"certificate {name!r} must be an object")
+            raise InvalidInputError(f"certificate {name!r} must be an object")
         kind, ok, reason = _verify_one(deltoid, named[name])
         checks.append({"name": name, "kind": kind, "valid": ok, "reason": reason})
     all_ok = all(c["valid"] for c in checks)

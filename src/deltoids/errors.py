@@ -1,20 +1,25 @@
-"""Exception hierarchy shared by all deltoids modules."""
+"""Exception hierarchy shared by all deltoids modules: one class per outcome.
+
+Each class is one outcome that a caller acts on.  The CLI gives:
+
+- DeltoidError, the base: exit 2 for any subclass not named below;
+- InvalidInputError: exit 2, its one line names the broken rule;
+- UnsupportedInfiniteGroupError: exit 2, or in ``deficiency`` the route
+  is listed under ``skipped``;
+- ResourceLimitError: exit 3, or in ``deficiency`` the route is listed
+  under ``skipped``;
+- InfiniteRhoError: exit 1 in ``partition``;
+- NoConstructionError: exit 1 in ``construct``;
+- InternalInconsistencyError: exit 4, a bug rather than bad input.
+"""
 
 
 class DeltoidError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidElementError(DeltoidError):
-    """Coordinate vector does not fit the group (wrong dimension)."""
-
-
-class GroupMismatchError(DeltoidError):
-    """Two objects that must live in the same group do not."""
-
-
-class InfiniteSubgroupError(DeltoidError):
-    """A generating set with a nonzero free coordinate has infinite closure."""
+class InvalidInputError(DeltoidError):
+    """An argument or file breaks a rule of the call; the message names the rule."""
 
 
 class UnsupportedInfiniteGroupError(DeltoidError):
@@ -23,38 +28,6 @@ class UnsupportedInfiniteGroupError(DeltoidError):
 
 class ResourceLimitError(DeltoidError):
     """Input exceeds a configured enumeration or sweep bound."""
-
-
-class EmptySetError(DeltoidError):
-    """A or B is empty; instances need nonempty sets."""
-
-
-class SizeMismatchError(DeltoidError):
-    """|A| != |B| after canonicalization."""
-
-
-class IdentityInBError(DeltoidError):
-    """The identity element may not appear in B."""
-
-
-class NotASubsetError(DeltoidError):
-    """Argument set is not a subset of A."""
-
-
-class InvalidDefectError(DeltoidError):
-    """Requested defect outside 0..|A|."""
-
-
-class InvalidWitnessError(DeltoidError):
-    """Witness inputs violate a stated precondition."""
-
-
-class InvalidInputError(DeltoidError):
-    """Transform preconditions (1 in R, SR within A, nonempty) violated."""
-
-
-class InvalidParametersError(DeltoidError):
-    """Existence-search parameters out of range or group unsuitable."""
 
 
 class NoConstructionError(DeltoidError):

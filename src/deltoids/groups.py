@@ -16,13 +16,7 @@ from itertools import compress, product
 from math import gcd, lcm, prod
 from operator import add, and_, attrgetter, index, itemgetter, neg, or_
 
-from .errors import (
-    GroupMismatchError,
-    InfiniteSubgroupError,
-    InvalidElementError,
-    ResourceLimitError,
-    UnsupportedInfiniteGroupError,
-)
+from .errors import InvalidInputError, ResourceLimitError, UnsupportedInfiniteGroupError
 
 Element = tuple[int, ...]
 
@@ -79,13 +73,13 @@ class GroupSpec(_Value):
         try:
             torsion, free_rank = tuple(map(index, torsion)), index(free_rank)
         except TypeError:
-            raise InvalidElementError(
+            raise InvalidInputError(
                 f"torsion moduli and free_rank must be integers, got {torsion!r}, {free_rank!r}"
             ) from None
         if any(n < 2 for n in torsion):
-            raise InvalidElementError(f"torsion moduli must be >= 2, got {torsion}")
+            raise InvalidInputError(f"torsion moduli must be >= 2, got {torsion}")
         if free_rank < 0:
-            raise InvalidElementError(f"free_rank must be >= 0, got {free_rank}")
+            raise InvalidInputError(f"free_rank must be >= 0, got {free_rank}")
         object.__setattr__(self, "torsion", torsion)
         object.__setattr__(self, "free_rank", free_rank)
 
@@ -110,7 +104,7 @@ def _check_dimension(group: GroupSpec, elements) -> None:
     dimension = group.dimension
     for x in elements:
         if len(x) != dimension:
-            raise InvalidElementError(
+            raise InvalidInputError(
                 f"element of length {len(x)} does not fit group of dimension {dimension}"
             )
 
@@ -118,9 +112,11 @@ def _check_dimension(group: GroupSpec, elements) -> None:
 def canonicalize(group: GroupSpec, coords) -> Element:
     """Reduce torsion coordinates mod n_i; free coordinates pass through."""
     _check_dimension(group, (coords,))
-    k = len(group.torsion)
-    head = tuple(int(c) % n for c, n in zip(coords, group.torsion))
-    return head + tuple(int(c) for c in coords[k:])
+    try:
+        x = tuple(map(index, coords))
+    except TypeError:
+        raise InvalidInputError(f"coordinates must be integers, got {coords!r}") from None
+    return tuple(c % n for c, n in zip(x, group.torsion)) + x[len(group.torsion):]
 
 
 def compose(group: GroupSpec, x: Element, y: Element) -> Element:
@@ -190,7 +186,7 @@ class GroupSet(_Value):
 
     def _same_group(self, other: "GroupSet") -> None:
         if self.group != other.group:
-            raise GroupMismatchError("sets live in different groups")
+            raise InvalidInputError("sets live in different groups")
 
     def union(self, other: "GroupSet") -> "GroupSet":
         self._same_group(other)
@@ -213,14 +209,14 @@ def generate_subgroup(group: GroupSpec, generators) -> GroupSet:
     """Closure of the generators (plus identity) under the group operation.
 
     Only defined when the closure is finite: every generator must have all
-    free coordinates zero, otherwise InfiniteSubgroupError is raised.
+    free coordinates zero, otherwise InvalidInputError is raised.
     """
     k = len(group.torsion)
     gens = []
     for g in generators:
         g = canonicalize(group, g)
         if any(c != 0 for c in g[k:]):
-            raise InfiniteSubgroupError(f"generator {g} has infinite order")
+            raise InvalidInputError(f"generator {g} has infinite order")
         gens.append(g)
     # <H, g> is the union of the cosets H + j*g for j = 0 .. m - 1, where m
     # is the least j >= 1 with j*g in H; a generator already in H adds nothing.
@@ -318,7 +314,7 @@ def sums_in(group: GroupSpec, X, Y, E) -> list[int]:
     """For each x in X, the bitmask over Y of the y with x + y in E.
 
     Bit j of the i-th mask is set iff X[i] + Y[j] lies in E.  Torsion
-    coordinates may be unreduced; a wrong length raises InvalidElementError.
+    coordinates may be unreduced; a wrong length raises InvalidInputError.
     The library's only choice between int masks and set lookups is made here.
     """
     X, Y, E = tuple(X), tuple(Y), tuple(E)
@@ -524,16 +520,14 @@ def parse_group(literal: str) -> GroupSpec:
     limit.
     """
     if not _LITERAL.fullmatch(literal):
-        raise InvalidElementError(
-            f"group literal {literal!r} does not match ^({_LITERAL.pattern})$"
-        )
+        raise InvalidInputError(f"group literal {literal!r} does not match ^({_LITERAL.pattern})$")
     tokens = literal.split("x")
     torsion = []
     for digits in (token[1:].lstrip("0") for token in tokens if token != "Z"):
         try:
             torsion.append(int(digits))
         except ValueError:  # more digits than int() converts
-            raise InvalidElementError(f"modulus of {len(digits)} digits is too large") from None
+            raise InvalidInputError(f"modulus of {len(digits)} digits is too large") from None
     # Z1, the trivial group, is the one factor of modulus 1 the pattern admits
     return GroupSpec(tuple(n for n in torsion if n > 1), tokens.count("Z"))
 

@@ -17,7 +17,7 @@ behind rho and lambda) searches with lookahead: the same count, faster.
 
 from __future__ import annotations
 
-from .errors import InvalidDefectError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError
 from .groups import Element, _Value
 from .sets import Deltoid
 
@@ -152,7 +152,7 @@ def deficiency(D: Deltoid) -> int:
 def partial_matching_with_defect(D: Deltoid, d: int) -> PartialMatching | None:
     """A matching with defect exactly d, or None when d is below the deficiency."""
     if not 0 <= d <= D.size:
-        raise InvalidDefectError(f"defect {d} outside 0..{D.size}")
+        raise InvalidInputError(f"defect {d} outside 0..{D.size}")
     best = max_matching(D)
     if d < best.defect:
         return None

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import (
-    InfiniteRhoError,
-    InternalInconsistencyError,
-    InvalidParametersError,
-    InvalidWitnessError,
-)
+from .errors import InfiniteRhoError, InternalInconsistencyError, InvalidInputError
 from .groups import DEFAULT_ORDER_BOUND, GroupSet, _check_searchable, _Value
 from .matching import (
     DEFAULT_SUBSET_BOUND,
@@ -116,7 +111,7 @@ def _partition(D: Deltoid, k: int, side: str) -> AdmissiblePartition | None:
     # assign the rows (left) or columns (right) at capacity k; each class is
     # the sorted a's (left) or b's (right) of one slot_matchings slot
     if k < 1:
-        raise InvalidParametersError("k must be positive")
+        raise InvalidInputError("k must be positive")
     if side == "left":
         holders, unplaced = D.row_assignment if k == 1 else assign(D.rows, k)
     else:
@@ -232,7 +227,7 @@ def rho_estimate_from_witness(D: Deltoid, w: ObstructionWitness) -> int:
     """
     verdict = verify_witness(D, w)
     if not verdict:
-        raise InvalidWitnessError(f"witness does not verify: {verdict.reason}")
+        raise InvalidInputError(f"witness does not verify: {verdict.reason}")
     if _rho_is_infinite(D):
         raise InfiniteRhoError("estimate needs a finite right partition number")
     if not w.Y.elements:

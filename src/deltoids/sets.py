@@ -13,13 +13,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from operator import or_
 
-from .errors import (
-    EmptySetError,
-    GroupMismatchError,
-    IdentityInBError,
-    NotASubsetError,
-    SizeMismatchError,
-)
+from .errors import InvalidInputError
 from .groups import (
     Element,
     GroupSet,
@@ -109,31 +103,30 @@ class Deltoid(_Value):
 def build_deltoid(A: GroupSet, B: GroupSet) -> Deltoid:
     """Validate (A, B) and materialize the adjacency.
 
-    Raises GroupMismatchError, EmptySetError, SizeMismatchError, or
-    IdentityInBError when the instance is malformed.
+    Raises InvalidInputError when the instance is malformed.
     """
     if A.group != B.group:
-        raise GroupMismatchError("A and B live in different groups")
+        raise InvalidInputError("A and B live in different groups")
     if not A.elements or not B.elements:
-        raise EmptySetError("A and B must be nonempty")
+        raise InvalidInputError("A and B must be nonempty")
     if len(A.elements) != len(B.elements):
-        raise SizeMismatchError(f"|A| = {len(A.elements)} but |B| = {len(B.elements)}")
+        raise InvalidInputError(f"|A| = {len(A.elements)} but |B| = {len(B.elements)}")
     if A.group.identity in B:
-        raise IdentityInBError("the identity element may not appear in B")
+        raise InvalidInputError("the identity element may not appear in B")
     full = (1 << len(B.elements)) - 1
     rows = sums_in(A.group, A.elements, B.elements, A.elements)
     return Deltoid(A, B, tuple(full ^ row for row in rows))
 
 
 def delta_mask(D: Deltoid, S: GroupSet) -> int:
-    """Column bitmask of the b with some s*b outside A; NotASubsetError unless S is in A."""
+    """Column bitmask of the b with some s*b outside A; InvalidInputError unless S is in A."""
     if S.group != D.A.group:
-        raise NotASubsetError("subset lives in a different group")
+        raise InvalidInputError("subset lives in a different group")
     rows, idx = D.rows, D.a_index
     try:
         return reduce(or_, [rows[idx[a]] for a in S.elements], 0)
     except KeyError as missing:
-        raise NotASubsetError(f"{missing.args[0]} is not in A") from None
+        raise InvalidInputError(f"{missing.args[0]} is not in A") from None
 
 
 def delta_set(D: Deltoid, S: GroupSet) -> GroupSet:

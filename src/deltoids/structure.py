@@ -9,11 +9,7 @@ pairs of prescribed size whose deficiency exceeds a prescribed level.
 
 from __future__ import annotations
 
-from .errors import (
-    InternalInconsistencyError,
-    InvalidParametersError,
-    NoConstructionError,
-)
+from .errors import InternalInconsistencyError, InvalidInputError, NoConstructionError
 from .groups import (
     DEFAULT_ORDER_BOUND,
     GroupSet,
@@ -57,7 +53,7 @@ def find_witness(
     of D.delta_terms above the level is it, the only term decoded.
     """
     if level < 0:
-        raise InvalidParametersError("level must be nonnegative")
+        raise InvalidInputError("level must be nonnegative")
     group = D.A.group
     _check_searchable(group, order_bound)
     for value, S, R in D.delta_terms:
@@ -122,16 +118,16 @@ def existence_predicate(
     qualifying subgroup (canonical tie-break) is built; None if there is none.
     """
     if not group.is_finite:
-        raise InvalidParametersError("existence search needs a finite group")
+        raise InvalidInputError("existence search needs a finite group")
     if level < 0:
-        raise InvalidParametersError("level must be nonnegative")
+        raise InvalidInputError("level must be nonnegative")
     _check_searchable(group, order_bound)
     size = group.order
     orders = [m for m in range(2, size) if size % m == 0]
     if not orders:
-        raise InvalidParametersError("group has no nontrivial proper subgroup")
+        raise InvalidInputError("group has no nontrivial proper subgroup")
     if not orders[0] <= n < size:
-        raise InvalidParametersError(f"n must satisfy {orders[0]} <= n < {size}, got {n}")
+        raise InvalidInputError(f"n must satisfy {orders[0]} <= n < {size}, got {n}")
     m = next((m for m in orders if m <= n and all((n + j) % m for j in range(1, level + 2))), 0)
     if not m:
         return None

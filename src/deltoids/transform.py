@@ -9,7 +9,7 @@ enumeration in the test suite.
 
 from __future__ import annotations
 
-from .errors import GroupMismatchError, InvalidInputError, InvalidWitnessError
+from .errors import InternalInconsistencyError, InvalidInputError
 from .groups import (
     DEFAULT_ORDER_BOUND,
     Element,
@@ -67,23 +67,24 @@ def e_transform_step(
     """
     group = S.group
     if R.group != group:
-        raise GroupMismatchError("S and R live in different groups")
+        raise InvalidInputError("S and R live in different groups")
     e = canonicalize(group, e)
     r = canonicalize(group, r)
     if group.identity not in R:
-        raise InvalidWitnessError("identity must be in R")
+        raise InvalidInputError("identity must be in R")
     if e not in S:
-        raise InvalidWitnessError(f"e = {e} is not in S")
+        raise InvalidInputError(f"e = {e} is not in S")
     if r not in R:
-        raise InvalidWitnessError(f"r = {r} is not in R")
+        raise InvalidInputError(f"r = {r} is not in R")
     if compose(group, e, r) in S:
-        raise InvalidWitnessError(f"e*r = {compose(group, e, r)} is in S; not a witness")
+        raise InvalidInputError(f"e*r = {compose(group, e, r)} is in S; not a witness")
     e_inv = invert(group, e)
     s1 = GroupSet.of(group, list(S.elements) + [compose(group, e, x) for x in R.elements])
     shifted = {compose(group, s, e_inv) for s in S.elements}
     r1 = GroupSet(group, tuple(x for x in R.elements if x in shifted))
     # conservation |S1| + |R1| = |S| + |R| is forced; anything else is a bug
-    assert len(s1.elements) + len(r1.elements) == len(S.elements) + len(R.elements)
+    if len(s1.elements) + len(r1.elements) != len(S.elements) + len(R.elements):
+        raise InternalInconsistencyError("e-transform step changed |S| + |R|")
     return s1, r1
 
 
@@ -113,7 +114,7 @@ def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet
     """
     group = A.group
     if S.group != group or R.group != group:
-        raise GroupMismatchError("A, S, R must live in one group")
+        raise InvalidInputError("A, S, R must live in one group")
     if not S.elements or not R.elements:
         raise InvalidInputError("S and R must be nonempty")
     if group.identity not in R:

@@ -15,9 +15,8 @@ from deltoids import (
     Deltoid,
     GroupSet,
     GroupSpec,
-    InfiniteSubgroupError,
     InternalInconsistencyError,
-    InvalidParametersError,
+    InvalidInputError,
     ResourceLimitError,
     UnsupportedInfiniteGroupError,
     build_deltoid,
@@ -232,7 +231,7 @@ def reference_generate_subgroup(group: GroupSpec, generators) -> GroupSet:
     for g in generators:
         g = canonicalize(group, g)
         if any(c != 0 for c in g[k:]):
-            raise InfiniteSubgroupError(f"generator {g} has infinite order")
+            raise InvalidInputError(f"generator {g} has infinite order")
         gens.append(g)
     elems = {group.identity}
     queue = [group.identity]
@@ -352,15 +351,15 @@ def reference_existence_predicate(group, n, level, lattice):
     that a test enumerates each group once.
     """
     if not group.is_finite:
-        raise InvalidParametersError("existence search needs a finite group")
+        raise InvalidInputError("existence search needs a finite group")
     if level < 0:
-        raise InvalidParametersError("level must be nonnegative")
+        raise InvalidInputError("level must be nonnegative")
     proper = [h for h in lattice if 1 < len(h) < group.order]
     if not proper:
-        raise InvalidParametersError("group has no nontrivial proper subgroup")
+        raise InvalidInputError("group has no nontrivial proper subgroup")
     n0 = len(proper[0].elements)
     if not n0 <= n < group.order:
-        raise InvalidParametersError(
+        raise InvalidInputError(
             f"n must satisfy {n0} <= n < {group.order}, got {n}"
         )
     for sub in proper:

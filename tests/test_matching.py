@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from deltoids import (
-    InvalidDefectError,
+    InvalidInputError,
     PartialMatching,
     ResourceLimitError,
     build_deltoid,
@@ -158,10 +158,10 @@ def test_partial_matching_with_defect_golden():
 
 def test_partial_matching_defect_out_of_range():
     D = golden_deltoid()
-    with pytest.raises(InvalidDefectError):
-        partial_matching_with_defect(D, 9)
-    with pytest.raises(InvalidDefectError):
-        partial_matching_with_defect(D, -1)
+    assert refusal(partial_matching_with_defect, D, 9) == (
+        InvalidInputError, "defect 9 outside 0..8")
+    assert refusal(partial_matching_with_defect, D, -1) == (
+        InvalidInputError, "defect -1 outside 0..8")
 
 
 def test_defect_monotone_over_small_instances():

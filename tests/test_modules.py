@@ -10,13 +10,20 @@ import deltoids
 from deltoids import (
     GroupSet,
     InfiniteRhoError,
-    InvalidParametersError,
+    InvalidInputError,
     ResourceLimitError,
     build_deltoid,
+    errors,
 )
 from helpers import Z12, Z2xZ, cyc, golden_deltoid, refusal
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "deltoids"
+
+# one class per outcome a caller acts on; errors.py states each outcome
+ERROR_CLASSES = {
+    "DeltoidError", "InvalidInputError", "UnsupportedInfiniteGroupError", "ResourceLimitError",
+    "InfiniteRhoError", "NoConstructionError", "InternalInconsistencyError",
+}
 
 # the element encoding behind the bitmask kernel, private to groups.py
 MASK_INTERNALS = {"_Masks", "_saturate", "_MASK_BITS_PER_ELEMENT", "_check_dimension"}
@@ -194,14 +201,61 @@ def test_subgroup_entries_check_their_inputs_before_the_bound():
         InfiniteRhoError, "some element of B stabilizes A"
     )
     assert refusal(deltoids.find_witness, golden_deltoid(), -1, 5) == (
-        InvalidParametersError, "level must be nonnegative"
+        InvalidInputError, "level must be nonnegative"
     )
     assert refusal(deltoids.existence_predicate, Z2xZ, 3, -1, 5) == (
-        InvalidParametersError, "existence search needs a finite group"
+        InvalidInputError, "existence search needs a finite group"
     )
     assert refusal(deltoids.existence_predicate, Z12, 8, -1, 5) == (
-        InvalidParametersError, "level must be nonnegative"
+        InvalidInputError, "level must be nonnegative"
     )
     assert refusal(deltoids.existence_predicate, Z12, 8, 2, 5) == (
         ResourceLimitError, "group order 12 exceeds enumeration bound 5"
     )
+
+
+def _raised(tree, scope=""):
+    # (enclosing qualified scope, class constructed) of every raise below a
+    # node; a raise that constructs no named class yields its source
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _raised(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Raise):
+            call = node.exc
+            named = isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            yield scope, call.func.id if named else ast.unparse(node)
+        yield from _raised(node, scope)
+
+
+def test_src_raises_only_the_seven_classes_and_asserts_nothing():
+    # python -O strips an assert, so an invariant is checked by a raise of
+    # InternalInconsistencyError; the entry points exit through SystemExit
+    # and _Value refuses assignment as any immutable Python value does
+    asserts, others = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        asserts += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)]
+        others += [f"{path.stem}:{scope} {name}" for scope, name in _raised(tree)
+                   if name not in ERROR_CLASSES]
+    assert asserts == []
+    assert sorted(others) == [
+        "__main__: SystemExit", "cli: SystemExit", "groups:_Value.__setattr__ AttributeError"
+    ]
+
+
+def test_the_package_exports_exactly_the_seven_error_classes():
+    def error_classes(namespace):
+        return {name for name, value in vars(namespace).items()
+                if isinstance(value, type) and issubclass(value, BaseException)}
+
+    assert error_classes(errors) == error_classes(deltoids) == ERROR_CLASSES
+    assert all(issubclass(getattr(deltoids, name), deltoids.DeltoidError) for name in ERROR_CLASSES)
+    # no module defines an exception class of its own
+    for info in pkgutil.iter_modules(deltoids.__path__):
+        if info.name in ("__main__", "errors"):  # importing __main__ runs the CLI
+            continue
+        module = importlib.import_module(f"deltoids.{info.name}")
+        assert {name for name in error_classes(module)
+                if getattr(module, name).__module__ == module.__name__} == set(), info.name

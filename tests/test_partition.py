@@ -12,8 +12,7 @@ from deltoids import (
     GroupSpec,
     InfiniteRhoError,
     InternalInconsistencyError,
-    InvalidParametersError,
-    InvalidWitnessError,
+    InvalidInputError,
     ObstructionWitness,
     ResourceLimitError,
     build_deltoid,
@@ -189,10 +188,8 @@ def test_feasibility_and_partitions_follow_long_augmenting_paths():
 
 
 def test_partition_k_validation():
-    with pytest.raises(InvalidParametersError):
-        partition_left(golden_deltoid(), 0)
-    with pytest.raises(InvalidParametersError):
-        partition_right(golden_deltoid(), -2)
+    assert refusal(partition_left, golden_deltoid(), 0) == (InvalidInputError, "k must be positive")
+    assert refusal(partition_right, golden_deltoid(), -2) == (InvalidInputError, "k must be positive")
 
 
 def test_partition_pads_with_empty_classes():
@@ -387,8 +384,8 @@ def test_rho_estimate_rejects_invalid_witness():
     D = golden_deltoid()
     w = find_witness(D, 2)
     broken = ObstructionWitness(w.S, w.R, w.Y, w.Z, level=3)
-    with pytest.raises(InvalidWitnessError):
-        rho_estimate_from_witness(D, broken)
+    assert refusal(rho_estimate_from_witness, D, broken) == (
+        InvalidInputError, "witness does not verify: |Y| = 2 is not below |R| - level = 2")
 
 
 def test_rho_estimate_refuses_infinite_rho():

@@ -9,7 +9,7 @@ import pytest
 from deltoids import (
     GroupSpec,
     InternalInconsistencyError,
-    InvalidParametersError,
+    InvalidInputError,
     NoConstructionError,
     ObstructionWitness,
     build_deltoid,
@@ -37,6 +37,7 @@ from helpers import (
     is_subgroup,
     random_instance,
     reference_existence_predicate,
+    refusal,
 )
 
 
@@ -57,8 +58,7 @@ def test_find_witness_absent_cases():
     assert find_witness(D, 3) is None
     matchable = build_deltoid(gset(Z12, cyc(1, 2)), gset(Z12, cyc(1, 2)))
     assert find_witness(matchable, 0) is None
-    with pytest.raises(InvalidParametersError):
-        find_witness(D, -1)
+    assert refusal(find_witness, D, -1) == (InvalidInputError, "level must be nonnegative")
 
 
 def test_verify_witness_rejects_damage():
@@ -174,22 +174,22 @@ def test_existence_predicate_smallest_qualifying_order():
 
 
 def test_existence_predicate_parameter_errors():
-    with pytest.raises(InvalidParametersError):
-        existence_predicate(TRIVIAL, 1, 0)
-    with pytest.raises(InvalidParametersError):
-        existence_predicate(GroupSpec((7,)), 3, 0)  # prime order: no proper subgroup
-    with pytest.raises(InvalidParametersError):
-        existence_predicate(Z12, 1, 0)  # below the smallest subgroup size
-    with pytest.raises(InvalidParametersError):
-        existence_predicate(Z12, 12, 0)  # must stay below |G|
-    with pytest.raises(InvalidParametersError):
-        existence_predicate(Z12, 8, -1)
+    no_proper = (InvalidInputError, "group has no nontrivial proper subgroup")
+    assert refusal(existence_predicate, TRIVIAL, 1, 0) == no_proper
+    assert refusal(existence_predicate, GroupSpec((7,)), 3, 0) == no_proper  # prime order
+    # below the smallest subgroup size, and not below |G|
+    assert refusal(existence_predicate, Z12, 1, 0) == (
+        InvalidInputError, "n must satisfy 2 <= n < 12, got 1")
+    assert refusal(existence_predicate, Z12, 12, 0) == (
+        InvalidInputError, "n must satisfy 2 <= n < 12, got 12")
+    assert refusal(existence_predicate, Z12, 8, -1) == (
+        InvalidInputError, "level must be nonnegative")
 
 
 def _outcome(call):
     try:
         return call()
-    except InvalidParametersError as err:
+    except InvalidInputError as err:
         return type(err), str(err)
 
 

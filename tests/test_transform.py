@@ -7,7 +7,6 @@ import time
 import pytest
 
 from deltoids import (
-    GroupMismatchError,
     GroupSet,
     GroupSpec,
     ObstructionWitness,
@@ -22,9 +21,8 @@ from deltoids import (
     parse_group,
     rho_by_pairs,
     verify_witness,
+    InternalInconsistencyError,
     InvalidInputError,
-    InvalidParametersError,
-    InvalidWitnessError,
     UnsupportedInfiniteGroupError,
     best_stabilizer_pair,
     build_deltoid,
@@ -88,17 +86,25 @@ def test_e_transform_step_example():
 def test_e_transform_step_rejects_non_witness():
     S = gset(Z12, cyc(0, 2))
     R = gset(Z12, cyc(0, 2))
-    with pytest.raises(InvalidWitnessError):
-        e_transform_step(S, R, (0,), (2,))  # 0 + 2 stays in S
-    with pytest.raises(InvalidWitnessError):
-        e_transform_step(S, gset(Z12, cyc(2)), (0,), (2,))  # identity not in R
-    with pytest.raises(InvalidWitnessError):
-        e_transform_step(S, R, (4,), (2,))  # e outside S
-    with pytest.raises(InvalidWitnessError):
-        e_transform_step(S, R, (0,), (4,))  # r outside R
+    assert refusal(e_transform_step, S, R, (0,), (2,)) == (
+        InvalidInputError, "e*r = (2,) is in S; not a witness")
+    assert refusal(e_transform_step, S, gset(Z12, cyc(2)), (0,), (2,)) == (
+        InvalidInputError, "identity must be in R")
+    assert refusal(e_transform_step, S, R, (4,), (2,)) == (
+        InvalidInputError, "e = (4,) is not in S")
+    assert refusal(e_transform_step, S, R, (0,), (4,)) == (
+        InvalidInputError, "r = (4,) is not in R")
     assert refusal(e_transform_step, S, gset(Z6, cyc(0, 2)), (0,), (2,)) == (
-        GroupMismatchError, "S and R live in different groups"
+        InvalidInputError, "S and R live in different groups"
     )
+
+
+def test_e_transform_step_guards_conservation():
+    # the raw constructor trusts its input: S holds 0 twice, so |S1| + |R1|
+    # = 2 + 1 falls short of |S| + |R| = 2 + 2
+    S = GroupSet(Z12, ((0,), (0,)))
+    assert refusal(e_transform_step, S, gset(Z12, cyc(0, 1)), (0,), (1,)) == (
+        InternalInconsistencyError, "e-transform step changed |S| + |R|")
 
 
 def test_stabilize_already_stable():
@@ -118,14 +124,14 @@ def test_stabilize_grows_to_contract():
 
 def test_stabilize_rejects_bad_input():
     A = gset(Z12, cyc(0, 2, 4))
-    with pytest.raises(InvalidInputError):
-        stabilize(A, gset(Z12, []), gset(Z12, cyc(0)))
-    with pytest.raises(InvalidInputError):
-        stabilize(A, gset(Z12, cyc(0)), gset(Z12, cyc(2)))  # identity missing
-    with pytest.raises(InvalidInputError):
-        stabilize(A, gset(Z12, cyc(4)), gset(Z12, cyc(0, 2)))  # 4+2 leaves A
+    assert refusal(stabilize, A, gset(Z12, []), gset(Z12, cyc(0))) == (
+        InvalidInputError, "S and R must be nonempty")
+    assert refusal(stabilize, A, gset(Z12, cyc(0)), gset(Z12, cyc(2))) == (
+        InvalidInputError, "identity must be in R")
+    assert refusal(stabilize, A, gset(Z12, cyc(4)), gset(Z12, cyc(0, 2))) == (
+        InvalidInputError, "S*R leaves A at (4,)*(2,)")  # 4+2 leaves A
     assert refusal(stabilize, A, gset(Z12, cyc(0)), gset(Z6, cyc(0, 2))) == (
-        GroupMismatchError, "A, S, R must live in one group"
+        InvalidInputError, "A, S, R must live in one group"
     )
 
 
@@ -222,7 +228,7 @@ def test_deficiency_by_subgroups_order_bound(monkeypatch):
     monkeypatch.setattr(transform, "_search_subgroups", lambda *args: searches.append(args))
     for D in (kept, fresh):
         assert refusal(find_witness, D, -1) == (
-            InvalidParametersError, "level must be nonnegative"
+            InvalidInputError, "level must be nonnegative"
         )
     assert searches == [] and "delta_terms" not in vars(fresh)
     free = build_deltoid(
