@@ -425,7 +425,3 @@ def main(argv=None) -> int:
         return code
     print(f"deltoids: {message}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -25,10 +25,11 @@ DEFAULT_ORDER_BOUND = 10_000
 
 class _Value:
     """Immutable value: equality (within one class), hash, repr and pickling
-    over the fields named in _fields, which __init__ sets once through
-    object.__setattr__; setting or deleting an attribute raises
-    AttributeError.  cached_property writes to the instance __dict__, so it
-    works on subclasses without __slots__.
+    over the fields named in _fields.  __init__ is the one writer of those
+    fields: each subclass passes its values, in _fields order, once; setting
+    or deleting an attribute otherwise raises AttributeError.
+    cached_property writes to the instance __dict__, so it works on
+    subclasses without __slots__.
     """
 
     __slots__ = ()
@@ -36,6 +37,10 @@ class _Value:
     def __init_subclass__(cls):
         # every subclass has at least two fields, so _key returns a tuple
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         # most comparisons are of a group with itself, e.g. in _same_group
@@ -80,8 +85,7 @@ class GroupSpec(_Value):
             raise InvalidInputError(f"torsion moduli must be >= 2, got {torsion}")
         if free_rank < 0:
             raise InvalidInputError(f"free_rank must be >= 0, got {free_rank}")
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "free_rank", free_rank)
+        super().__init__(torsion, free_rank)
 
     @property
     def dimension(self) -> int:
@@ -101,21 +105,29 @@ class GroupSpec(_Value):
 
 
 def _check_dimension(group: GroupSpec, elements) -> None:
+    """Refuse any element but a sequence of group.dimension integers, each
+    read by operator.index as GroupSpec reads its moduli."""
     dimension = group.dimension
     for x in elements:
-        if len(x) != dimension:
+        try:
+            length = len(x)
+        except TypeError:
+            raise InvalidInputError(f"element must be a sequence of integers, got {x!r}") from None
+        if length != dimension:
             raise InvalidInputError(
-                f"element of length {len(x)} does not fit group of dimension {dimension}"
+                f"element of length {length} does not fit group of dimension {dimension}"
             )
+        try:
+            for c in x:
+                index(c)
+        except TypeError:
+            raise InvalidInputError(f"coordinates must be integers, got {x!r}") from None
 
 
 def canonicalize(group: GroupSpec, coords) -> Element:
     """Reduce torsion coordinates mod n_i; free coordinates pass through."""
     _check_dimension(group, (coords,))
-    try:
-        x = tuple(map(index, coords))
-    except TypeError:
-        raise InvalidInputError(f"coordinates must be integers, got {coords!r}") from None
+    x = tuple(map(index, coords))
     return tuple(c % n for c, n in zip(x, group.torsion)) + x[len(group.torsion):]
 
 
@@ -163,8 +175,7 @@ class GroupSet(_Value):
     _fields = ("group", "elements")
 
     def __init__(self, group: GroupSpec, elements: tuple[Element, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "elements", elements)
+        super().__init__(group, elements)
 
     @classmethod
     def of(cls, group: GroupSpec, elements) -> "GroupSet":
@@ -262,7 +273,7 @@ class _Masks:
     sum(x_i * stride_i), last coordinate fastest, so code order is the
     canonical tuple order.  A set becomes one mask per distinct free part
     (bit c set iff the element with torsion code c is present), so no mask
-    is longer than the torsion order.  Callers check element lengths.
+    is longer than the torsion order.  Callers check element shapes.
     """
 
     __slots__ = ("torsion", "axes", "size")
@@ -314,7 +325,8 @@ def sums_in(group: GroupSpec, X, Y, E) -> list[int]:
     """For each x in X, the bitmask over Y of the y with x + y in E.
 
     Bit j of the i-th mask is set iff X[i] + Y[j] lies in E.  Torsion
-    coordinates may be unreduced; a wrong length raises InvalidInputError.
+    coordinates may be unreduced; an element that is not a sequence of
+    group.dimension integers raises InvalidInputError.
     The library's only choice between int masks and set lookups is made here.
     """
     X, Y, E = tuple(X), tuple(Y), tuple(E)

@@ -35,8 +35,7 @@ class Verdict(_Value):
     _fields = __slots__ = ("ok", "reason")
 
     def __init__(self, ok: bool, reason: str = ""):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "reason", reason)
+        super().__init__(ok, reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -51,8 +50,7 @@ class PartialMatching(_Value):
     _fields = __slots__ = ("pairs", "defect")
 
     def __init__(self, pairs: tuple[tuple[Element, Element], ...], defect: int):
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "defect", defect)
+        super().__init__(pairs, defect)
 
 
 def assign(masks, k: int, lookahead: bool = False) -> tuple[list[list[int]], int]:

@@ -40,9 +40,7 @@ class AdmissiblePartition(_Value):
     def __init__(
         self, side: str, classes: tuple[GroupSet, ...], matchings: tuple[PartialMatching, ...]
     ):
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "matchings", matchings)
+        super().__init__(side, classes, matchings)
 
 
 def _ceil_div(a: int, b: int) -> int:

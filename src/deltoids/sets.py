@@ -32,9 +32,7 @@ class Deltoid(_Value):
     _fields = ("A", "B", "rows")
 
     def __init__(self, A: GroupSet, B: GroupSet, rows: tuple[int, ...]):
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(A, B, rows)
 
     @property
     def size(self) -> int:

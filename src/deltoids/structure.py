@@ -32,11 +32,7 @@ class ObstructionWitness(_Value):
     _fields = __slots__ = ("S", "R", "Y", "Z", "level")
 
     def __init__(self, S: GroupSet, R: GroupSet, Y: GroupSet, Z: GroupSet, level: int):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "level", level)
+        super().__init__(S, R, Y, Z, level)
 
 
 def find_witness(

@@ -33,9 +33,7 @@ class StabilizerPair(_Value):
     _fields = __slots__ = ("S", "R", "value")
 
     def __init__(self, S: GroupSet, R: GroupSet, value: int):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "value", value)
+        super().__init__(S, R, value)
 
     def validate(self, D: Deltoid) -> Verdict:
         group = D.A.group

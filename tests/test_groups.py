@@ -26,6 +26,7 @@ from deltoids import (
     full_cosets_within,
     generate_subgroup,
     invert,
+    max_progression_length,
     order,
     parse_group,
 )
@@ -61,6 +62,31 @@ def test_compose_examples():
 def test_compose_dimension_mismatch():
     assert refusal(compose, Z12, (1, 2), (3,)) == (
         InvalidInputError, "element of length 2 does not fit group of dimension 1")
+
+
+# every public entry that takes an element reads it through one shape check
+ELEMENT_ENTRIES = {
+    "canonicalize": lambda x: canonicalize(Z12, x),
+    "GroupSet.of": lambda x: GroupSet.of(Z12, [(0,), x]),
+    "compose-left": lambda x: compose(Z12, x, (1,)),
+    "compose-right": lambda x: compose(Z12, (1,), x),
+    "invert": lambda x: invert(Z12, x),
+    "order": lambda x: order(Z12, x),
+    "full_cosets_within": lambda x: full_cosets_within(Z12, [(0,), x], GroupSet(Z12, cyc(0, 6))),
+    "generate_subgroup": lambda x: generate_subgroup(Z12, [(4,), x]),
+    "max_progression_length": lambda x: max_progression_length(GroupSet.of(Z12, cyc(1, 2)), x),
+}
+
+
+@pytest.mark.parametrize("entry", ELEMENT_ENTRIES.values(), ids=ELEMENT_ENTRIES.keys())
+@pytest.mark.parametrize("element, text", [
+    (5, "element must be a sequence of integers, got 5"),
+    ((1.5,), "coordinates must be integers, got (1.5,)"),
+    (("1",), "coordinates must be integers, got ('1',)"),
+    ((1, 2), "element of length 2 does not fit group of dimension 1"),
+], ids=["int", "float", "str", "length"])
+def test_every_element_entry_refuses_a_malformed_element(entry, element, text):
+    assert refusal(entry, element) == (InvalidInputError, text)
 
 
 def test_invert_examples():

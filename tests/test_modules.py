@@ -214,24 +214,31 @@ def test_subgroup_entries_check_their_inputs_before_the_bound():
     )
 
 
-def _raised(tree, scope=""):
-    # (enclosing qualified scope, class constructed) of every raise below a
-    # node; a raise that constructs no named class yields its source
+def _scoped(tree, scope=""):
+    # (enclosing qualified scope, node) of every node below a node
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _raised(node, f"{scope}.{node.name}".lstrip("."))
+            yield from _scoped(node, f"{scope}.{node.name}".lstrip("."))
             continue
+        yield scope, node
+        yield from _scoped(node, scope)
+
+
+def _raised(tree):
+    # (enclosing qualified scope, class constructed) of every raise below a
+    # node; a raise that constructs no named class yields its source
+    for scope, node in _scoped(tree):
         if isinstance(node, ast.Raise):
             call = node.exc
             named = isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
             yield scope, call.func.id if named else ast.unparse(node)
-        yield from _raised(node, scope)
 
 
 def test_src_raises_only_the_seven_classes_and_asserts_nothing():
     # python -O strips an assert, so an invariant is checked by a raise of
-    # InternalInconsistencyError; the entry points exit through SystemExit
-    # and _Value refuses assignment as any immutable Python value does
+    # InternalInconsistencyError; the one entry point exits through
+    # SystemExit and _Value refuses assignment as any immutable Python
+    # value does
     asserts, others = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -240,9 +247,19 @@ def test_src_raises_only_the_seven_classes_and_asserts_nothing():
         others += [f"{path.stem}:{scope} {name}" for scope, name in _raised(tree)
                    if name not in ERROR_CLASSES]
     assert asserts == []
-    assert sorted(others) == [
-        "__main__: SystemExit", "cli: SystemExit", "groups:_Value.__setattr__ AttributeError"
-    ]
+    assert sorted(others) == ["__main__: SystemExit", "groups:_Value.__setattr__ AttributeError"]
+
+
+def test_only_value_init_writes_the_fields_of_a_value():
+    # every value class passes its fields to _Value.__init__ instead of
+    # going around _Value.__setattr__'s refusal
+    writers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        writers += [f"{path.stem}:{scope}" for scope, node in _scoped(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert writers == ["groups:_Value.__init__"]
 
 
 def test_the_package_exports_exactly_the_seven_error_classes():
