@@ -10,6 +10,7 @@ split across classes, so every answer ships with verifiable certificates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .errors import InfiniteRhoError, InternalInconsistencyError, InvalidInputError
 from .groups import DEFAULT_ORDER_BOUND, GroupSet, _check_searchable, _Value
@@ -62,14 +63,8 @@ def _least_k(clear, n: int) -> int:
     k = 1
     while k < n and not clear(k):
         k *= 2
-    lo, hi = k // 2 + 1, min(k, n)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if clear(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    lo = k // 2 + 1
+    return lo + bisect_left(range(lo, min(k, n)), True, key=clear)
 
 
 def rho(D: Deltoid, subset_bound: int = DEFAULT_SUBSET_BOUND) -> int | float:
@@ -176,6 +171,18 @@ def rho_by_feasibility(D: Deltoid) -> int:
     return _least_k(lambda k: not assign(D.columns, k, lookahead=True)[1], D.size)
 
 
+def _subgroup_bound(D: Deltoid, order_bound: int, score, fault: str) -> int:
+    # The last improving_terms yield for score above the floor of 1, the
+    # empty-S pair, after the order-bound check.  An infinite score needs
+    # rows that contradict the sets, so it raises fault.
+    _check_searchable(D.A.group, order_bound)
+    best = 1
+    for best, _, _ in improving_terms(D, score, 1):
+        if best == math.inf:
+            raise InternalInconsistencyError(fault)
+    return best
+
+
 def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
     """Finite rho as a maximum over the subgroup terms.
 
@@ -185,17 +192,12 @@ def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
     """
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
-    _check_searchable(D.A.group, order_bound)
     n = D.size
 
     def score(full, inside):
         return math.inf if full >= n else _ceil_div(inside, n - full)
 
-    best = 1
-    for best, _, _ in improving_terms(D, score, 1):
-        if best == math.inf:
-            raise InternalInconsistencyError("A is a union of cosets meeting B")
-    return best
+    return _subgroup_bound(D, order_bound, score, "A is a union of cosets meeting B")
 
 
 def lambda_lower_bound(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
@@ -204,17 +206,12 @@ def lambda_lower_bound(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> in
     Each H contributes ceil(|full H-cosets in A| / (|B| - |B n H|)), the
     floor being 1.  Reads only the two counts of each term (improving_terms).
     """
-    _check_searchable(D.A.group, order_bound)
     n = D.size
 
     def score(full, inside):
         return math.inf if inside >= n else _ceil_div(full, n - inside)
 
-    best = 1
-    for best, _, _ in improving_terms(D, score, 1):
-        if best == math.inf:
-            raise InternalInconsistencyError("B inside a subgroup with a full coset in A")
-    return best
+    return _subgroup_bound(D, order_bound, score, "B inside a subgroup with a full coset in A")
 
 
 def rho_estimate_from_witness(D: Deltoid, w: ObstructionWitness) -> int:

@@ -113,8 +113,6 @@ def existence_predicate(
     of a finite abelian group are the divisors of |G|, so only the smallest
     qualifying subgroup (canonical tie-break) is built; None if there is none.
     """
-    if not group.is_finite:
-        raise InvalidInputError("existence search needs a finite group")
     if level < 0:
         raise InvalidInputError("level must be nonnegative")
     _check_searchable(group, order_bound)

@@ -42,8 +42,7 @@ class StabilizerPair(_Value):
                 return Verdict(False, f"{name} lives in a different group")
         if not self.S.issubset(D.A):
             return Verdict(False, "S is not a subset of A")
-        b_or_identity = D.B.union(GroupSet.of(group, [group.identity]))
-        if not self.R.issubset(b_or_identity):
+        if not self.R.member_set <= D.B.member_set | {group.identity}:
             return Verdict(False, "R is not a subset of B plus identity")
         escape = _escape(self.S, self.R, self.S.elements)
         if escape is not None:
@@ -189,5 +188,6 @@ def best_stabilizer_pair(
     group = D.A.group
     _check_searchable(group, order_bound)
     value, full, inside = D.delta_terms[-1]
-    paired_r = GroupSet.of(group, list(inside) + [group.identity])
+    # the identity sorts first in a finite group and lies outside B
+    paired_r = GroupSet(group, (group.identity, *inside))
     return StabilizerPair(GroupSet(group, tuple(full)), paired_r, value)

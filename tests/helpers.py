@@ -350,10 +350,10 @@ def reference_existence_predicate(group, n, level, lattice):
     its reference; `lattice` is enumerate_subgroups(group), passed in so
     that a test enumerates each group once.
     """
-    if not group.is_finite:
-        raise InvalidInputError("existence search needs a finite group")
     if level < 0:
         raise InvalidInputError("level must be nonnegative")
+    if not group.is_finite:
+        raise UnsupportedInfiniteGroupError("subgroup formulas need a finite group")
     proper = [h for h in lattice if 1 < len(h) < group.order]
     if not proper:
         raise InvalidInputError("group has no nontrivial proper subgroup")

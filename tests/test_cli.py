@@ -360,7 +360,7 @@ def test_construct(capsys):
     assert code == 2 and "nontrivial" in err
 
     code, out, err = run_cli(capsys, "construct", "--group", "Z2xZ", "--n", "3", "--ell", "0")
-    assert (code, out, err) == (2, "", "deltoids: existence search needs a finite group\n")
+    assert (code, out, err) == (2, "", "deltoids: subgroup formulas need a finite group\n")
 
 
 def test_chowla(capsys):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -12,12 +13,14 @@ from deltoids import (
     InfiniteRhoError,
     InvalidInputError,
     ResourceLimitError,
+    UnsupportedInfiniteGroupError,
     build_deltoid,
     errors,
 )
 from helpers import Z12, Z2xZ, cyc, golden_deltoid, refusal
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "deltoids"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "deltoids"
 
 # one class per outcome a caller acts on; errors.py states each outcome
 ERROR_CLASSES = {
@@ -100,9 +103,9 @@ def test_only_improving_terms_and_enumerate_subgroups_call_the_subgroup_search()
 def test_only_the_delta_chain_and_two_partition_bounds_call_improving_terms():
     # the three deficiency formulas read the one chain Deltoid.delta_terms
     # keeps, so none of them can grow a second search; rho_by_pairs and
-    # lambda_lower_bound prune by their own scores
+    # lambda_lower_bound prune by their own scores through one body
     assert _src_readers("improving_terms") == [
-        "partition.lambda_lower_bound", "partition.rho_by_pairs", "transform._delta_terms"
+        "partition._subgroup_bound", "transform._delta_terms"
     ]
 
 
@@ -114,10 +117,10 @@ def test_only_the_polynomial_right_side_routes_read_the_columns():
 
 def test_the_seven_subgroup_entries_and_the_sweep_check_their_bounds():
     # the subgroup search and improving_terms take no bound: each entry that
-    # takes one checks it; the sweep's callers leave its bound to it
+    # takes one checks it, rho_by_pairs and lambda_lower_bound in their one
+    # body; the sweep's callers leave its bound to it
     assert _src_readers("_check_searchable") == [
-        "groups.enumerate_subgroups",
-        "partition.lambda_lower_bound", "partition.rho_by_pairs",
+        "groups.enumerate_subgroups", "partition._subgroup_bound",
         "structure.existence_predicate", "structure.find_witness",
         "transform.best_stabilizer_pair", "transform.deficiency_by_subgroups",
     ]
@@ -204,7 +207,10 @@ def test_subgroup_entries_check_their_inputs_before_the_bound():
         InvalidInputError, "level must be nonnegative"
     )
     assert refusal(deltoids.existence_predicate, Z2xZ, 3, -1, 5) == (
-        InvalidInputError, "existence search needs a finite group"
+        InvalidInputError, "level must be nonnegative"
+    )
+    assert refusal(deltoids.existence_predicate, Z2xZ, 3, 2, 5) == (
+        UnsupportedInfiniteGroupError, "subgroup formulas need a finite group"
     )
     assert refusal(deltoids.existence_predicate, Z12, 8, -1, 5) == (
         InvalidInputError, "level must be nonnegative"
@@ -276,3 +282,16 @@ def test_the_package_exports_exactly_the_seven_error_classes():
         module = importlib.import_module(f"deltoids.{info.name}")
         assert {name for name in error_classes(module)
                 if getattr(module, name).__module__ == module.__name__} == set(), info.name
+
+
+def test_every_module_parses_at_the_python_floor():
+    # tomllib is 3.11+, so the floor is read with a regex; ast parses at the
+    # floor's grammar, so syntax newer than the promise fails here
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert floor is not None
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, int(floor[1])))

@@ -131,8 +131,10 @@ def test_least_k_finds_every_threshold():
                 return k >= answer
 
             assert _least_k(clear, n) == answer
-            # the common answer 1 costs at most one probe
+            # the common answer 1 costs at most one probe, and any answer
+            # at most two per bit: one doubling and one bisection step
             assert answer > 1 or len(probes) <= 1
+            assert len(probes) <= 2 * answer.bit_length()
 
 
 @pytest.mark.parametrize("n", range(1, 13))
