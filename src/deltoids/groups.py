@@ -14,7 +14,7 @@ import re
 from functools import cached_property, reduce
 from itertools import compress, product
 from math import gcd, lcm, prod
-from operator import add, and_, attrgetter, index, itemgetter, neg, or_
+from operator import add, and_, attrgetter, index, itemgetter, mod, neg, or_
 
 from .errors import InvalidInputError, ResourceLimitError, UnsupportedInfiniteGroupError
 
@@ -126,9 +126,14 @@ def _check_dimension(group: GroupSpec, elements) -> None:
 
 def canonicalize(group: GroupSpec, coords) -> Element:
     """Reduce torsion coordinates mod n_i; free coordinates pass through."""
-    _check_dimension(group, (coords,))
-    x = tuple(map(index, coords))
-    return tuple(c % n for c, n in zip(x, group.torsion)) + x[len(group.torsion):]
+    # each coordinate is read once; what cannot be read, _check_dimension names
+    try:
+        x = tuple(map(index, coords)) if len(coords) == group.dimension else None
+    except TypeError:
+        x = None
+    if x is None:
+        _check_dimension(group, (coords,))
+    return tuple(map(mod, x, group.torsion)) + x[len(group.torsion):]
 
 
 def compose(group: GroupSpec, x: Element, y: Element) -> Element:

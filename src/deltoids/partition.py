@@ -171,15 +171,34 @@ def rho_by_feasibility(D: Deltoid) -> int:
     return _least_k(lambda k: not assign(D.columns, k, lookahead=True)[1], D.size)
 
 
-def _subgroup_bound(D: Deltoid, order_bound: int, score, fault: str) -> int:
-    # The last improving_terms yield for score above the floor of 1, the
-    # empty-S pair, after the order-bound check.  An infinite score needs
-    # rows that contradict the sets, so it raises fault.
+def _partition_bounds(D: Deltoid) -> tuple[int | float, int | float]:
+    # rho's and lambda's subgroup maxima above the floor of 1, the empty-S
+    # pair, from one improving_terms search.  A zero denominator needs rho
+    # infinite or rows that contradict the sets, and scores math.inf.
+    # Deltoid.partition_bounds keeps them; each reader checks its own.
+    n = D.size
+
+    def rho_score(full, inside):
+        return math.inf if full >= n else _ceil_div(inside, n - full)
+
+    def lambda_score(full, inside):
+        if inside < n:
+            return _ceil_div(full, n - inside)
+        return math.inf if full else 0  # no full coset: the empty S, no term
+
+    last = (1, 1)  # the floors
+    for last in improving_terms(D, (rho_score, 1), (lambda_score, 1)):
+        pass
+    return last[:2]
+
+
+def _subgroup_bound(D: Deltoid, order_bound: int, side: int, fault: str) -> int:
+    # Entry side of D.partition_bounds (0 rho, 1 lambda) after the
+    # order-bound check; an infinite maximum raises fault.
     _check_searchable(D.A.group, order_bound)
-    best = 1
-    for best, _, _ in improving_terms(D, score, 1):
-        if best == math.inf:
-            raise InternalInconsistencyError(fault)
+    best = D.partition_bounds[side]
+    if best == math.inf:
+        raise InternalInconsistencyError(fault)
     return best
 
 
@@ -188,30 +207,22 @@ def rho_by_pairs(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
 
     Each H contributes ceil(|B n H| / (|A| - |full H-cosets in A|)); the
     floor of 1 comes from the empty-S pair.  Requires rho finite.  Reads
-    only the two counts of each term (improving_terms).
+    the subgroup search it shares with lambda_lower_bound
+    (Deltoid.partition_bounds).
     """
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
-    n = D.size
-
-    def score(full, inside):
-        return math.inf if full >= n else _ceil_div(inside, n - full)
-
-    return _subgroup_bound(D, order_bound, score, "A is a union of cosets meeting B")
+    return _subgroup_bound(D, order_bound, 0, "A is a union of cosets meeting B")
 
 
 def lambda_lower_bound(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
     """Subgroup-indexed lower bound for lambda; equality is not guaranteed.
 
     Each H contributes ceil(|full H-cosets in A| / (|B| - |B n H|)), the
-    floor being 1.  Reads only the two counts of each term (improving_terms).
+    floor being 1.  Reads the subgroup search it shares with rho_by_pairs
+    (Deltoid.partition_bounds).
     """
-    n = D.size
-
-    def score(full, inside):
-        return math.inf if inside >= n else _ceil_div(full, n - inside)
-
-    return _subgroup_bound(D, order_bound, score, "B inside a subgroup with a full coset in A")
+    return _subgroup_bound(D, order_bound, 1, "B inside a subgroup with a full coset in A")
 
 
 def rho_estimate_from_witness(D: Deltoid, w: ObstructionWitness) -> int:

@@ -80,11 +80,23 @@ class Deltoid(_Value):
         """The improving (value, full, inside) terms: transform._delta_terms, searched once.
 
         Shared by deficiency_by_subgroups, best_stabilizer_pair and
-        find_witness, which each check their own order bound first.
+        find_witness, which each check their own order bound first; the
+        search runs only as far as a reader iterates, and [-1] drains it.
         """
         from .transform import _delta_terms  # transform builds on this module
 
         return _delta_terms(self)
+
+    @cached_property
+    def partition_bounds(self) -> tuple[int | float, int | float]:
+        """rho's and lambda's subgroup maxima: partition._partition_bounds, searched once.
+
+        Shared by rho_by_pairs and lambda_lower_bound, which each check
+        their own bounds first.
+        """
+        from .partition import _partition_bounds  # partition builds on this module
+
+        return _partition_bounds(self)
 
     @property
     def full_mask(self) -> int:

@@ -9,6 +9,8 @@ enumeration in the test suite.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import InternalInconsistencyError, InvalidInputError
 from .groups import (
     DEFAULT_ORDER_BOUND,
@@ -126,41 +128,87 @@ def stabilize(A: GroupSet, S: GroupSet, R: GroupSet) -> tuple[GroupSet, GroupSet
         S, R = e_transform_step(S, R, *witness)
 
 
-def improving_terms(D: Deltoid, score, best):
-    """Yield (value, full, inside) per subgroup term whose value beats best and all before.
+def improving_terms(D: Deltoid, *scored):
+    """Yield (*bests, full, inside) per subgroup term that beats some score's best.
 
-    The terms are (full H-cosets inside A, B n H) per H = <B n H> != 1 with
-    a full coset in A: the subgroup search over B within A, in canonical
-    order (size, then elements), each part a sized view of its elements,
-    decoded only when iterated.  Every formula gets the answers of a scan
-    over all subgroups: <B n H> keeps B n H and H's full cosets, scores no
-    lower and sorts no later, and a subgroup with no full coset in A scores
-    at most what the trivial subgroup does.
+    scored holds (score, floor) pairs, and bests are each score's best so
+    far, from its floor, after the term.  The terms are
+    (full H-cosets inside A, B n H) per H = <B n H> != 1 with a full coset
+    in A: the subgroup search over B within A, in canonical order (size,
+    then elements), each part a sized view of its elements, decoded only
+    when iterated.  Every formula gets the answers of a scan over all
+    subgroups: <B n H> keeps B n H and H's full cosets, scores no lower and
+    sorts no later, and a subgroup with no full coset in A scores at most
+    what the trivial subgroup does.
 
-    value = score(|full H-cosets inside A|, |B n H|), for a score that does
-    not decrease in either count.  A supergroup H' of H has
+    A score reads (|full H-cosets inside A|, |B n H|) and does not decrease
+    in either count.  A supergroup H' of H has
     |H'| <= |full(H')| <= |full(H)| and |B n H'| <= |H'| - 1 (the identity
     is not in B), so it scores at most score(|full(H)|, |full(H)| - 1).  H
-    is not grown once that is at most best, so no term that could beat best
-    is lost: the yields are those of the unpruned scan.
+    is grown while that beats some score's best, so no term that could beat
+    a best is lost: for each score, the terms that raise its best are those
+    of the unpruned scan.
     """
-    terms = _search_subgroups(D.A.group, D.B.elements, D.A.elements,
-                              lambda f: score(f, f - 1) > best)
+    held = [[score, floor] for score, floor in scored]  # each score and its best
+
+    def grows(f):
+        for score, best in held:
+            if score(f, f - 1) > best:
+                return True
+        return False
+
+    terms = _search_subgroups(D.A.group, D.B.elements, D.A.elements, grows)
     next(terms)  # the trivial subgroup: full = A, B n H empty
     for inside, full in terms:
-        if (value := score(len(full), len(inside))) > best:
-            best = value
-            yield value, full, inside
+        f, i, improved = len(full), len(inside), False
+        for entry in held:
+            if (value := entry[0](f, i)) > entry[1]:
+                entry[1] = value
+                improved = True
+        if improved:
+            yield (*[best for _, best in held], full, inside)
 
 
-def _delta_terms(D: Deltoid):
+class _Chain:
+    """The entries of a search, drawn from it only as far as a reader goes.
+
+    Iterating yields the entries kept so far, then draws and keeps more
+    from search(); [-1] drains it.  A draw that raises keeps what was kept,
+    and the next draw starts the search again past those entries.
+    """
+
+    __slots__ = ("_kept", "_search", "_rest")
+
+    def __init__(self, first, search):
+        self._kept, self._search, self._rest = [first], search, None
+
+    def _draw(self, count):
+        # keep up to count more entries (None: all); whether any came
+        rest = self._rest or islice(self._search(), len(self._kept) - 1, None)
+        self._rest, kept = None, len(self._kept)  # a draw that raises restarts
+        self._kept.extend(islice(rest, count))
+        self._rest = rest
+        return len(self._kept) > kept
+
+    def __iter__(self):
+        i = 0
+        while i < len(self._kept) or self._draw(1):
+            yield self._kept[i]
+            i += 1
+
+    def __getitem__(self, index):
+        self._draw(None)
+        return self._kept[index]
+
+
+def _delta_terms(D: Deltoid) -> _Chain:
     # The chain of improving terms |full(H)| - n + |B n H| from the trivial
     # (0, A, ()): the last is the canonically first best, and the first above
     # a level L is the first term above L, as each term before it scores at
     # most L.  Deltoid.delta_terms keeps it; each reader checks its own bound.
     n = D.size
-    terms = improving_terms(D, lambda f, inside: f - n + inside, 0)
-    return ((0, D.A, ()), *terms)
+    scored = (lambda f, inside: f - n + inside, 0)
+    return _Chain((0, D.A, ()), lambda: improving_terms(D, scored))
 
 
 def deficiency_by_subgroups(D: Deltoid, order_bound: int = DEFAULT_ORDER_BOUND) -> int:

@@ -102,10 +102,11 @@ def test_only_improving_terms_and_enumerate_subgroups_call_the_subgroup_search()
 
 def test_only_the_delta_chain_and_two_partition_bounds_call_improving_terms():
     # the three deficiency formulas read the one chain Deltoid.delta_terms
-    # keeps, so none of them can grow a second search; rho_by_pairs and
-    # lambda_lower_bound prune by their own scores through one body
+    # keeps, and rho_by_pairs and lambda_lower_bound the two maxima
+    # Deltoid.partition_bounds keeps, from one search grown while either
+    # score could rise; so no formula can grow a second search
     assert _src_readers("improving_terms") == [
-        "partition._subgroup_bound", "transform._delta_terms"
+        "partition._partition_bounds", "transform._delta_terms"
     ]
 
 

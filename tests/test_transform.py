@@ -9,6 +9,7 @@ import pytest
 from deltoids import (
     GroupSet,
     GroupSpec,
+    InfiniteRhoError,
     ObstructionWitness,
     ResourceLimitError,
     cosets_of,
@@ -547,8 +548,27 @@ def test_improving_terms_yields_the_improvements_of_the_full_scan():
                     best = value
                     expected.append((value, tuple(full), tuple(inside)))
             found = [(value, tuple(full), tuple(inside))
-                     for value, full, inside in transform.improving_terms(D, score, floor)]
+                     for value, full, inside in transform.improving_terms(D, (score, floor))]
             assert found == expected
+
+
+def test_improving_terms_grows_while_any_score_could_rise():
+    # several scores in one search: a term is yielded iff it raises some
+    # score's best, with every best as the full scan has it up to that term
+    for D in [*_search_instances(), *_coset_heavy_instances()]:
+        terms = reference_search_subgroups(
+            D.A.group, DEFAULT_ORDER_BOUND, D.B.elements, D.A.elements
+        )[1:]
+        scored = list(_scores(D))
+        expected, bests = [], [floor for _, floor in scored]
+        for inside, full in terms:
+            values = [score(len(full), len(inside)) for score, _ in scored]
+            if any(value > best for value, best in zip(values, bests)):
+                bests = [max(value, best) for value, best in zip(values, bests)]
+                expected.append((*bests, tuple(full), tuple(inside)))
+        found = [(*entry[:-2], tuple(entry[-2]), tuple(entry[-1]))
+                 for entry in transform.improving_terms(D, *scored)]
+        assert found == expected
 
 
 def test_one_chain_of_improving_terms_answers_find_witness_at_every_level():
@@ -558,7 +578,7 @@ def test_one_chain_of_improving_terms_answers_find_witness_at_every_level():
     # Deltoid.delta_terms keeps; the chain here is built apart from that one
     for D in _search_instances():
         group, n = D.A.group, D.size
-        chain = list(transform.improving_terms(D, lambda f, i: f - n + i, 0))
+        chain = list(transform.improving_terms(D, (lambda f, i: f - n + i, 0)))
         delta = chain[-1][0] if chain else 0
         assert delta == deficiency(D)
         for level in range(delta + 1):
@@ -568,6 +588,117 @@ def test_one_chain_of_improving_terms_answers_find_witness_at_every_level():
                 S, R = (GroupSet(group, tuple(part)) for part in above[0])
                 expected = ObstructionWitness(S, R, D.A.difference(S), D.B.difference(R), level)
             assert find_witness(D, level) == expected
+
+
+def _counted_search(monkeypatch):
+    # patch the subgroup search looked up in transform: the groups it was
+    # called on, and every term it yielded
+    searches, drawn = [], []
+    search = transform._search_subgroups
+
+    def counted(*args):
+        searches.append(args[0])
+        for term in search(*args):
+            drawn.append(term)
+            yield term
+
+    monkeypatch.setattr(transform, "_search_subgroups", counted)
+    return searches, drawn
+
+
+def _index_two_instance(dimension):
+    # A the index-2 subgroup x[0] = 0 of Z2^dimension, B uniform at seed 1:
+    # every subgroup of A has all of A as full cosets, so the value bound
+    # stops no growth until the deficiency is reached
+    group = parse_group("x".join(["Z2"] * dimension))
+    everything = elements_of(group)
+    A = [x for x in everything if x[0] == 0]
+    B = random.Random(1).sample([x for x in everything if any(x)], len(A))
+    return build_deltoid(GroupSet.of(group, A), GroupSet.of(group, B))
+
+
+def test_find_witness_draws_the_search_only_to_its_first_term_above_the_level(monkeypatch):
+    # the chain Deltoid.delta_terms keeps pulls from its one search only as
+    # far as a reader goes: at level 0 the trivial subgroup and the first
+    # term, 2 of the 238 terms the whole search yields on index-2 Z2^6
+    searches, drawn = _counted_search(monkeypatch)
+    D = _index_two_instance(6)
+    witness = find_witness(D, 0)
+    assert len(drawn) == 2 and searches == [D.A.group]
+    assert verify_witness(D, witness) and len(witness.R.elements) == 1
+    # a later reader goes on with the same search, and [-1] drains it
+    assert deficiency_by_subgroups(D) == deficiency(D) == 15
+    assert len(drawn) == 238 and searches == [D.A.group]
+    # the witness is the one the drained chain gives a fresh deltoid
+    assert find_witness(D, 0) == witness
+    fresh = build_deltoid(D.A, D.B)
+    deficiency_by_subgroups(fresh)
+    assert find_witness(fresh, 0) == witness and len(searches) == 2
+
+
+def test_a_search_that_raises_is_restarted_past_the_kept_terms(monkeypatch):
+    # a pull that raises (an interrupt, say) keeps the entries already
+    # drawn, and the next read starts the search again past them, so every
+    # answer is a fresh deltoid's
+    class Interrupt(Exception):
+        pass
+
+    search = transform._search_subgroups
+    searches = []
+
+    def interrupted(*args):
+        searches.append(args[0])
+        for i, term in enumerate(search(*args)):
+            if len(searches) == 1 and i == 20:
+                raise Interrupt
+            yield term
+
+    D, fresh = _index_two_instance(5), _index_two_instance(5)
+    delta = deficiency_by_subgroups(fresh)
+    answers = [best_stabilizer_pair(fresh),
+               *[find_witness(fresh, level) for level in range(delta + 1)]]
+    monkeypatch.setattr(transform, "_search_subgroups", interrupted)
+    assert find_witness(D, 0) == answers[1] and searches == [D.A.group]
+    with pytest.raises(Interrupt):
+        deficiency_by_subgroups(D)
+    assert deficiency_by_subgroups(D) == delta and searches == [D.A.group] * 2
+    assert [best_stabilizer_pair(D), *[find_witness(D, level) for level in range(delta + 1)]] == answers
+    decoded = [[(value, tuple(full), tuple(inside)) for value, full, inside in E.delta_terms]
+               for E in (D, fresh)]
+    assert decoded[0] == decoded[1] and len(decoded[0]) > 2
+
+
+def test_rho_and_lambda_bounds_read_one_search_in_either_order(monkeypatch):
+    # rho_by_pairs and lambda_lower_bound read the two maxima kept on the
+    # deltoid: in either call order one subgroup search answers both (only
+    # lambda's when rho is infinite and rho_by_pairs refuses first), each
+    # equal to its score's own pruned search and to the lattice scan
+    searches, _ = _counted_search(monkeypatch)
+    infinite = 0
+    for D in [*_search_instances(), *_coset_heavy_instances()]:
+        n = D.size
+        rho_scored, lambda_scored = list(_scores(D))[2:]
+        alone = [max([floor] + [entry[0] for entry in transform.improving_terms(D, (score, floor))])
+                 for score, floor in (rho_scored, lambda_scored)]
+        terms = [(len(full.elements), len(inside.elements))
+                 for full, inside in reference_subgroup_terms(D)]
+        expected_lambda = max([1] + [ceil_div(f, n - i) for f, i in terms if f])
+        assert alone[1] == expected_lambda
+        calls = {"rho": rho_by_pairs, "lambda": lambda_lower_bound}
+        if partition._rho_is_infinite(D):
+            expected_rho = (InfiniteRhoError, "some element of B stabilizes A")
+            calls["rho"] = lambda E: refusal(rho_by_pairs, E)
+            infinite += 1
+        else:
+            expected_rho = max([1] + [ceil_div(i, n - f) for f, i in terms])
+            assert alone[0] == expected_rho
+        for names in (("rho", "lambda"), ("lambda", "rho")):
+            fresh = build_deltoid(D.A, D.B)
+            searches.clear()
+            answers = {name: calls[name](fresh) for name in names}
+            assert answers == {"rho": expected_rho, "lambda": expected_lambda}
+            assert searches == [D.A.group]
+    assert infinite >= 20
 
 
 def test_subgroup_route_in_z2_to_the_8():
