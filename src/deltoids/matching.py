@@ -13,13 +13,16 @@ admissible partitions.  Every certificate (matching pairs, partition
 classes) is decoded by slot_matchings from its Kuhn order; a call that
 needs only how many sources stay unplaced (deficiency, the least-k probes
 behind rho and lambda) searches with lookahead: the same count, faster.
+The search scans its masks in scan order, target t at bit n - 1 - t, so
+each step finds its lowest candidate as the top bit, with no new int; the
+steps and holders are those of the low-bit scan (see assign).
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInputError, ResourceLimitError
 from .groups import Element, _Value
-from .sets import Deltoid
+from .sets import Deltoid, _scan_order
 
 DEFAULT_SUBSET_BOUND = 22
 
@@ -62,44 +65,63 @@ def assign(masks, k: int, lookahead: bool = False) -> tuple[list[list[int]], int
     fixed input: sources are placed in index order, targets scanned low bit
     first, and a full target's holders tried in list order.  On success each
     source on the path moves to the end of the holder list of the target its
-    child left.  Path frames are (source, holder list of the full target it
-    tried); the source being scanned is a holder in the top frame's list.
+    child left.
 
-    Each source's search starts from the targets outside the dead set, kept
-    as an unvisited mask that loses one bit per step.  A source that fails
-    leaves every target it visited full, with every holder of those
-    targets having all its candidates among them; no later augmenting path
-    can pass through them, so they stay dead for later sources.  Skipping
-    them changes neither the live targets visited nor their order.
+    The search runs on the masks in scan order (sets._scan_order), target t
+    at bit n - 1 - t, so the lowest candidate is the top bit: bit_length
+    finds it without building -cand and cand & -cand, and the unvisited
+    mask loses its top bits first and shrinks as the search goes.  The
+    steps and holders are those of the low-bit scan; the library keeps each
+    deltoid side in scan order (Deltoid.scan_rows, Deltoid.scan_columns) and
+    calls _assign_scan, so it converts each side once.
 
     With lookahead, each step takes the lowest candidate that still has
     room, if any, before descending into a full one.  The unplaced count is
     the same (every search finds a maximum assignment), but the holders
     differ, so only callers that read the count alone pass it.
     """
-    holders: list[list[int]] = [[] for _ in masks]
-    free = (1 << len(masks)) - 1  # targets holding fewer than k sources
+    return _assign_scan(_scan_order(masks), k, lookahead)
+
+
+def _assign_scan(scan, k: int, lookahead: bool = False) -> tuple[list[list[int]], int]:
+    # assign on masks already in scan order: bit b is target n - 1 - b.
+    # Path frames are (source, holder list of the full target it tried); the
+    # source being scanned is a holder in the top frame's list.
+    #
+    # Each source's search starts from the targets outside the dead set,
+    # kept as an unvisited mask that loses one bit per step.  A source that
+    # fails leaves every target it visited full, with every holder of those
+    # targets having all its candidates among them; no later augmenting path
+    # can pass through them, so they stay dead for later sources.  Skipping
+    # them changes neither the live targets visited nor their order.
+    holders: list[list[int]] = [[] for _ in scan]  # by bit, reversed at the end
+    free = (1 << len(scan)) - 1  # targets holding fewer than k sources
     live = free  # targets outside the dead set
-    for root in range(len(masks)):
+    for root in range(len(scan)):
         unvisited = live
         src = root
         path = []
         while True:
-            cand = masks[src] & unvisited
+            cand = scan[src] & unvisited
             if cand:
                 if lookahead and cand & free:
                     cand &= free
-                low = cand & -cand
-                unvisited ^= low
-                bucket = holders[low.bit_length() - 1]
+                bit = cand.bit_length() - 1
+                unvisited ^= 1 << bit
+                bucket = holders[bit]
                 if len(bucket) < k:
                     bucket.append(src)
                     if len(bucket) == k:
-                        free ^= low
-                    for parent, bucket in reversed(path):
-                        bucket.remove(src)
-                        bucket.append(parent)
-                        src = parent
+                        free ^= 1 << bit
+                    if k == 1:
+                        # each frame's target held just the child that moved on
+                        for parent, bucket in path:
+                            bucket[0] = parent
+                    else:
+                        for parent, bucket in reversed(path):
+                            bucket.remove(src)
+                            bucket.append(parent)
+                            src = parent
                     break
                 path.append((src, bucket))
                 src = bucket[0]
@@ -112,7 +134,8 @@ def assign(masks, k: int, lookahead: bool = False) -> tuple[list[list[int]], int
             else:
                 live = unvisited
                 break
-    return holders, len(masks) - sum(map(len, holders))
+    holders.reverse()
+    return holders, len(scan) - sum(map(len, holders))
 
 
 def max_matching(D: Deltoid) -> PartialMatching:
@@ -126,7 +149,7 @@ def max_matching(D: Deltoid) -> PartialMatching:
 
 
 def slot_matchings(D: Deltoid, holders, k: int, side: str) -> list[PartialMatching]:
-    """The k matchings of assign's holders over D.rows (left) or D.columns (right).
+    """The k matchings of assign's holders over D.rows (left) or the columns (right).
 
     Slot h pairs each target with its h-th holder by index, so it sees every
     target at most once; its pairs are (a, b) in canonical order of a.
@@ -144,7 +167,7 @@ def slot_matchings(D: Deltoid, holders, k: int, side: str) -> list[PartialMatchi
 
 def deficiency(D: Deltoid) -> int:
     """Smallest achievable defect: |A| minus the maximum matching size."""
-    return assign(D.rows, 1, lookahead=True)[1]
+    return _assign_scan(D.scan_rows, 1, lookahead=True)[1]
 
 
 def partial_matching_with_defect(D: Deltoid, d: int) -> PartialMatching | None:

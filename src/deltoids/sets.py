@@ -4,8 +4,9 @@ A matching instance is a pair (A, B) of equal-size finite subsets with the
 identity excluded from B.  Its edge set pairs a in A with b in B whenever
 a*b falls outside A.  The adjacency is stored one bitmask per row of A
 (bit j of row i set iff a_i * b_j lies outside A): the neighborhood of a
-subset of A is the OR of its rows, which is what the augmenting search and
-the one subset sweep (matching.subset_blocks) read.
+subset of A is the OR of its rows, which is what the one subset sweep
+(matching.subset_blocks) reads.  The augmenting search reads the rows, and
+the columns, in its scan order (_scan_order), each built once per deltoid.
 """
 
 from __future__ import annotations
@@ -24,6 +25,40 @@ from .groups import (
     order,
     sums_in,
 )
+
+
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bytes, bits reversed
+
+
+def _scan_order(masks) -> tuple[int, ...]:
+    """Each of n masks with bit t moved to bit n - 1 - t: matching.assign's scan order.
+
+    A mask's bytes, reversed bit by bit and read big-endian, are its 8w bits
+    in reverse; the pad of 8w - n high bits then shifts out.
+    """
+    width = (len(masks) + 7) // 8
+    pad = 8 * width - len(masks)
+    return tuple([int.from_bytes(m.to_bytes(width, "little").translate(_REVERSED), "big") >> pad
+                  for m in masks])
+
+
+def _scan_columns(rows) -> tuple[int, ...]:
+    """The columns of n rows in scan order: bit n - 1 - i of column j iff bit j of row i."""
+    # Each block of 256 rows is written as digits, first row first, into a
+    # 256 * n byte buffer (one n * n buffer raises peak memory); column j of
+    # a block is the strided slice from n - 1 - j, parsed in C, its first
+    # row the high digit.
+    n = len(rows)
+    cols = [0] * n
+    for base in range(0, n, 256):
+        block = rows[base:base + 256]
+        bits = bytearray(len(block) * n)
+        for i, row in enumerate(block):
+            bits[i * n:i * n + n] = format(row, f"0{n}b").encode()
+        shift = n - base - len(block)
+        for j in range(n):
+            cols[j] |= int(bits[n - 1 - j::n], 2) << shift
+    return tuple(cols)
 
 
 class Deltoid(_Value):
@@ -47,21 +82,14 @@ class Deltoid(_Value):
         return {b: j for j, b in enumerate(self.B.elements)}
 
     @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """The adjacency by columns: bit i of columns[j] iff bit j of rows[i]."""
-        # Each block of 256 rows is written as digits, last row first, into
-        # a 256 * n byte buffer (one n * n buffer raises peak memory); column
-        # j of a block is the strided slice from n - 1 - j, parsed in C.
-        n = self.size
-        cols = [0] * n
-        for base in range(0, n, 256):
-            block = self.rows[base:base + 256]
-            bits = bytearray(len(block) * n)
-            for i, row in enumerate(reversed(block)):
-                bits[i * n:i * n + n] = format(row, f"0{n}b").encode()
-            for j in range(n):
-                cols[j] |= int(bits[n - 1 - j::n], 2) << base
-        return tuple(cols)
+    def scan_rows(self) -> tuple[int, ...]:
+        """The rows in scan order: bit n - 1 - j of scan_rows[i] iff bit j of rows[i]."""
+        return _scan_order(self.rows)
+
+    @cached_property
+    def scan_columns(self) -> tuple[int, ...]:
+        """The columns in scan order: bit n - 1 - i of scan_columns[j] iff bit j of rows[i]."""
+        return _scan_columns(self.rows)
 
     @cached_property
     def row_assignment(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -70,9 +98,9 @@ class Deltoid(_Value):
         Shared by the maximum matching and the one-class left partition;
         the holders are tuples, so no caller can change the cached search.
         """
-        from .matching import assign  # matching builds on this module
+        from .matching import _assign_scan  # matching builds on this module
 
-        holders, unplaced = assign(self.rows, 1)
+        holders, unplaced = _assign_scan(self.scan_rows, 1)
         return tuple(map(tuple, holders)), unplaced
 
     @cached_property

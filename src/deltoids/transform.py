@@ -174,7 +174,8 @@ class _Chain:
 
     Iterating yields the entries kept so far, then draws and keeps more
     from search(); [-1] drains it.  A draw that raises keeps what was kept,
-    and the next draw starts the search again past those entries.
+    and the next draw starts the search again past those entries.  Once
+    the search runs out, search is dropped and readers get the kept list.
     """
 
     __slots__ = ("_kept", "_search", "_rest")
@@ -187,17 +188,25 @@ class _Chain:
         rest = self._rest or islice(self._search(), len(self._kept) - 1, None)
         self._rest, kept = None, len(self._kept)  # a draw that raises restarts
         self._kept.extend(islice(rest, count))
-        self._rest = rest
-        return len(self._kept) > kept
+        drawn = len(self._kept) - kept
+        if count is None or drawn < count:
+            self._search = None  # drained
+        else:
+            self._rest = rest
+        return drawn > 0
 
     def __iter__(self):
+        return iter(self._kept) if self._search is None else self._walk()
+
+    def _walk(self):
         i = 0
-        while i < len(self._kept) or self._draw(1):
+        while i < len(self._kept) or self._search is not None and self._draw(1):
             yield self._kept[i]
             i += 1
 
     def __getitem__(self, index):
-        self._draw(None)
+        if self._search is not None:
+            self._draw(None)
         return self._kept[index]
 
 

@@ -86,15 +86,18 @@ def chain_deltoid(n, transposed=False):
     placeholders.
     """
     rows = chain_rows(n)
-    if transposed:
-        cols = [0] * n
-        for i, row in enumerate(rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        rows = cols
-    return rows_deltoid(rows)
+    return rows_deltoid(transpose(rows) if transposed else rows)
+
+
+def transpose(rows):
+    """The columns of square bitmask rows: bit i of column j iff bit j of row i."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
 
 
 def rows_deltoid(rows):

@@ -14,14 +14,25 @@ from deltoids import (
     deficiency,
     deficiency_by_subsets,
     lambda_,
+    lambda_by_feasibility,
     max_matching,
     max_progression_length,
     order,
     partial_matching_with_defect,
+    partition_left,
+    partition_right,
     rho,
+    rho_by_feasibility,
     verify_matching,
 )
-from deltoids.matching import _check_subset_bound, assign, subset_blocks, subset_least
+from deltoids import matching, sets
+from deltoids.matching import (
+    _assign_scan,
+    _check_subset_bound,
+    assign,
+    subset_blocks,
+    subset_least,
+)
 from helpers import (
     Z2xZ,
     Z2xZ4,
@@ -41,6 +52,7 @@ from helpers import (
     reference_assign,
     refusal,
     rows_deltoid,
+    transpose,
 )
 
 
@@ -83,6 +95,18 @@ def test_assign_matches_reference_and_lookahead_keeps_the_count():
         expected = reference_assign(masks, k)
         assert assign(masks, k) == expected, (masks, k)
         assert assign(masks, k, lookahead=True)[1] == expected[1], (masks, k)
+    # widths on both sides of a byte (the scan-order conversion pads to a
+    # whole byte) and of CPython's 30-bit digits, each with an all-zero and
+    # an all-ones row among random ones
+    for n in (*range(7, 10), *range(15, 18), *range(29, 32), *range(59, 66)):
+        for _ in range(40):
+            masks = random_masks(rng, n, rng.random())
+            masks[rng.randrange(n)] = 0
+            masks[rng.randrange(n)] = (1 << n) - 1
+            for k in (1, 2, 3):
+                expected = reference_assign(masks, k)
+                assert assign(masks, k) == expected, (masks, k)
+                assert assign(masks, k, lookahead=True)[1] == expected[1], (masks, k)
 
 
 def test_assign_matches_reference_at_ladder_size():
@@ -93,11 +117,39 @@ def test_assign_matches_reference_at_ladder_size():
     rng = random.Random(997)
     for shape in ("uniform", "progression"):
         D = cyclic_instance(rng, 997, 300, shape)
-        for side, masks in (("rows", D.rows), ("columns", D.columns)):
+        sides = (("rows", D.rows, D.scan_rows), ("columns", transpose(D.rows), D.scan_columns))
+        for side, masks, scan in sides:
             for k in (1, 2):
                 expected = reference_assign(masks, k)
                 assert assign(masks, k) == expected, (shape, side, k)
+                # the library's own call, on the side the deltoid keeps in scan order
+                assert _assign_scan(scan, k) == expected, (shape, side, k)
                 assert assign(masks, k, lookahead=True)[1] == expected[1], (shape, side, k)
+
+
+def test_each_deltoid_side_is_put_in_scan_order_once(monkeypatch):
+    # every polynomial route reads the rows or the columns in scan order
+    # from the deltoid, which builds each once; no probe converts again
+    built = []
+
+    def counted(side, build):
+        def wrapper(masks):
+            built.append(side)
+            return build(masks)
+        return wrapper
+
+    to_scan = counted("rows", sets._scan_order)
+    monkeypatch.setattr(sets, "_scan_order", to_scan)
+    monkeypatch.setattr(matching, "_scan_order", to_scan)
+    monkeypatch.setattr(sets, "_scan_columns", counted("columns", sets._scan_columns))
+    D = cyclic_instance(random.Random(41), 997, 60, "uniform")
+    max_matching(D)
+    deficiency(D)
+    partition_left(D, 2)
+    lambda_by_feasibility(D)
+    rho_by_feasibility(D)
+    partition_right(D, 2)
+    assert built == ["rows", "columns"]
 
 
 def test_assign_strongly_deficient_keeps_reference_order():

@@ -112,8 +112,10 @@ def test_only_the_delta_chain_and_two_partition_bounds_call_improving_terms():
 
 def test_only_the_polynomial_right_side_routes_read_the_columns():
     # rho's subset sweep reads D.rows like deficiency_by_subsets and
-    # lambda_, so a fault in Deltoid.columns cannot hide in both rho routes
-    assert _src_readers("columns") == ["partition._partition", "partition.rho_by_feasibility"]
+    # lambda_, so a fault in Deltoid.scan_columns cannot hide in both rho routes
+    assert _src_readers("scan_columns") == [
+        "partition._partition", "partition.rho_by_feasibility"
+    ]
 
 
 def test_the_seven_subgroup_entries_and_the_sweep_check_their_bounds():

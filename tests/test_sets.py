@@ -111,10 +111,13 @@ def test_columns_transpose_rows():
     instances += [cyclic_instance(rng, 997, n, "uniform") for n in (63, 64, 65, 300)]
     for D in instances:
         n = D.size
-        assert len(D.columns) == n
+        assert len(D.scan_columns) == len(D.scan_rows) == n
         for i in range(n):
             for j in range(n):
-                assert (D.columns[j] >> i & 1) == (D.rows[i] >> j & 1), (D, i, j)
+                bit = D.rows[i] >> j & 1
+                assert (D.scan_columns[j] >> n - 1 - i & 1) == bit, (D, i, j)
+                assert (D.scan_rows[i] >> n - 1 - j & 1) == bit, (D, i, j)
+        assert max(D.scan_columns) < 1 << n and max(D.scan_rows) < 1 << n
 
 
 def test_build_deltoid_trivial_group_and_wrong_length():

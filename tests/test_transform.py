@@ -636,6 +636,21 @@ def test_find_witness_draws_the_search_only_to_its_first_term_above_the_level(mo
     assert find_witness(fresh, 0) == witness and len(searches) == 2
 
 
+def test_a_drained_chain_hands_out_its_kept_terms(monkeypatch):
+    # once its search has run out, by [-1] or by a reader iterating past
+    # the last term, the chain hands out its kept list and draws no more
+    searches, drawn = _counted_search(monkeypatch)
+    for drain in (deficiency_by_subgroups, lambda D: find_witness(D, deficiency(D))):
+        D = _index_two_instance(5)
+        drain(D)
+        terms = D.delta_terms
+        assert type(iter(terms)) is type(iter([])) and terms._search is None
+        count = len(drawn)
+        assert list(terms) == list(terms) and terms[-1][0] == deficiency(D)
+        assert len(drawn) == count
+    assert searches == [D.A.group] * 2
+
+
 def test_a_search_that_raises_is_restarted_past_the_kept_terms(monkeypatch):
     # a pull that raises (an interrupt, say) keeps the entries already
     # drawn, and the next read starts the search again past them, so every
