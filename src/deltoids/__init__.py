@@ -18,7 +18,6 @@ from .groups import (
     elements_of,
     enumerate_subgroups,
     format_group,
-    full_cosets_within,
     generate_subgroup,
     invert,
     order,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, product
 from math import gcd, lcm, prod
 from operator import add, and_, attrgetter, index, itemgetter, mod, neg, or_
@@ -491,21 +491,6 @@ def first_subgroup_of_order(group: GroupSpec, m: int) -> GroupSet:
             joined = _saturate(masks, h, masks.translate(h, x), x, or_)
             h = joined if m % joined.bit_count() == 0 else h
     return GroupSet(group, members(h, masks.size, everything))
-
-
-def full_cosets_within(group: GroupSpec, elements, sub: GroupSet) -> tuple[Element, ...]:
-    """The union of the H-cosets fully contained in the given finite set.
-
-    The x with x + H inside the set are the AND over h in H of the sums_in
-    rows of h; the result size is always a multiple of |H|.  Torsion
-    coordinates may be unreduced and are returned as given.  Works in
-    infinite ambient groups since H is finite and only the finite input set
-    is scanned.
-    """
-    elements = tuple(elements)
-    rows = sums_in(group, sub.elements, elements, elements)
-    inside = reduce(and_, rows, (1 << len(elements)) - 1)
-    return tuple(sorted(members(inside, len(elements), elements)))
 
 
 def cosets_of(group: GroupSpec, sub: GroupSet) -> list[tuple[Element, ...]]:

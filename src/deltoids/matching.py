@@ -13,16 +13,16 @@ admissible partitions.  Every certificate (matching pairs, partition
 classes) is decoded by slot_matchings from its Kuhn order; a call that
 needs only how many sources stay unplaced (deficiency, the least-k probes
 behind rho and lambda) searches with lookahead: the same count, faster.
-The search scans its masks in scan order, target t at bit n - 1 - t, so
-each step finds its lowest candidate as the top bit, with no new int; the
-steps and holders are those of the low-bit scan (see assign).
+The search reads target t at bit n - 1 - t, the order Deltoid.rows and
+Deltoid.columns are built in, so each step finds its lowest candidate as
+the top bit, with no new int (see assign).
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInputError, ResourceLimitError
 from .groups import Element, _Value
-from .sets import Deltoid, _scan_order
+from .sets import Deltoid
 
 DEFAULT_SUBSET_BOUND = 22
 
@@ -59,32 +59,22 @@ class PartialMatching(_Value):
 def assign(masks, k: int, lookahead: bool = False) -> tuple[list[list[int]], int]:
     """Give each source a target from its bitmask, each target holding at most k.
 
-    Bit t of masks[i] lets source i use target t; there are as many targets
-    as sources.  Returns holders[target], the sources placed there, and the
+    Bit n - 1 - t of masks[i] lets source i use target t, the order of
+    Deltoid.rows and Deltoid.columns; there are n targets, as many as
+    sources.  Returns holders[target], the sources placed there, and the
     number of sources left unplaced.  An iterative Kuhn search, deterministic for
-    fixed input: sources are placed in index order, targets scanned low bit
-    first, and a full target's holders tried in list order.  On success each
-    source on the path moves to the end of the holder list of the target its
-    child left.
-
-    The search runs on the masks in scan order (sets._scan_order), target t
-    at bit n - 1 - t, so the lowest candidate is the top bit: bit_length
-    finds it without building -cand and cand & -cand, and the unvisited
-    mask loses its top bits first and shrinks as the search goes.  The
-    steps and holders are those of the low-bit scan; the library keeps each
-    deltoid side in scan order (Deltoid.scan_rows, Deltoid.scan_columns) and
-    calls _assign_scan, so it converts each side once.
+    fixed input: sources are placed in index order, targets scanned lowest
+    index (top bit) first, and a full target's holders tried in list order.
+    On success each source on the path moves to the end of the holder list
+    of the target its child left.  bit_length finds the lowest candidate
+    without building a new int, and the unvisited mask loses its top bits
+    first and shrinks as the search goes.
 
     With lookahead, each step takes the lowest candidate that still has
     room, if any, before descending into a full one.  The unplaced count is
     the same (every search finds a maximum assignment), but the holders
     differ, so only callers that read the count alone pass it.
     """
-    return _assign_scan(_scan_order(masks), k, lookahead)
-
-
-def _assign_scan(scan, k: int, lookahead: bool = False) -> tuple[list[list[int]], int]:
-    # assign on masks already in scan order: bit b is target n - 1 - b.
     # Path frames are (source, holder list of the full target it tried); the
     # source being scanned is a holder in the top frame's list.
     #
@@ -94,15 +84,15 @@ def _assign_scan(scan, k: int, lookahead: bool = False) -> tuple[list[list[int]]
     # targets having all its candidates among them; no later augmenting path
     # can pass through them, so they stay dead for later sources.  Skipping
     # them changes neither the live targets visited nor their order.
-    holders: list[list[int]] = [[] for _ in scan]  # by bit, reversed at the end
-    free = (1 << len(scan)) - 1  # targets holding fewer than k sources
+    holders: list[list[int]] = [[] for _ in masks]  # by bit, reversed at the end
+    free = (1 << len(masks)) - 1  # targets holding fewer than k sources
     live = free  # targets outside the dead set
-    for root in range(len(scan)):
+    for root in range(len(masks)):
         unvisited = live
         src = root
         path = []
         while True:
-            cand = scan[src] & unvisited
+            cand = masks[src] & unvisited
             if cand:
                 if lookahead and cand & free:
                     cand &= free
@@ -135,7 +125,7 @@ def _assign_scan(scan, k: int, lookahead: bool = False) -> tuple[list[list[int]]
                 live = unvisited
                 break
     holders.reverse()
-    return holders, len(scan) - sum(map(len, holders))
+    return holders, len(masks) - sum(map(len, holders))
 
 
 def max_matching(D: Deltoid) -> PartialMatching:
@@ -167,7 +157,7 @@ def slot_matchings(D: Deltoid, holders, k: int, side: str) -> list[PartialMatchi
 
 def deficiency(D: Deltoid) -> int:
     """Smallest achievable defect: |A| minus the maximum matching size."""
-    return _assign_scan(D.scan_rows, 1, lookahead=True)[1]
+    return assign(D.rows, 1, lookahead=True)[1]
 
 
 def partial_matching_with_defect(D: Deltoid, d: int) -> PartialMatching | None:

@@ -18,7 +18,7 @@ from .matching import (
     DEFAULT_SUBSET_BOUND,
     PartialMatching,
     Verdict,
-    _assign_scan,
+    assign,
     slot_matchings,
     subset_least,
     verify_matching,
@@ -106,9 +106,9 @@ def _partition(D: Deltoid, k: int, side: str) -> AdmissiblePartition | None:
     if k < 1:
         raise InvalidInputError("k must be positive")
     if side == "left":
-        holders, unplaced = D.row_assignment if k == 1 else _assign_scan(D.scan_rows, k)
+        holders, unplaced = D.row_assignment if k == 1 else assign(D.rows, k)
     else:
-        holders, unplaced = _assign_scan(D.scan_columns, k)
+        holders, unplaced = assign(D.columns, k)
     if unplaced:
         return None
     pick = 0 if side == "left" else 1
@@ -161,14 +161,14 @@ def validate_partition(D: Deltoid, p: AdmissiblePartition) -> Verdict:
 def lambda_by_feasibility(D: Deltoid) -> int:
     """Exact lambda as the least feasible partition size; no sweep bound."""
     # a probe reads only the unplaced count, so it searches with lookahead
-    return _least_k(lambda k: not _assign_scan(D.scan_rows, k, lookahead=True)[1], D.size)
+    return _least_k(lambda k: not assign(D.rows, k, lookahead=True)[1], D.size)
 
 
 def rho_by_feasibility(D: Deltoid) -> int:
     """Exact finite rho as the least feasible size; InfiniteRhoError when infinite."""
     if _rho_is_infinite(D):
         raise InfiniteRhoError("some element of B stabilizes A")
-    return _least_k(lambda k: not _assign_scan(D.scan_columns, k, lookahead=True)[1], D.size)
+    return _least_k(lambda k: not assign(D.columns, k, lookahead=True)[1], D.size)
 
 
 def _partition_bounds(D: Deltoid) -> tuple[int | float, int | float]:

@@ -3,10 +3,11 @@
 A matching instance is a pair (A, B) of equal-size finite subsets with the
 identity excluded from B.  Its edge set pairs a in A with b in B whenever
 a*b falls outside A.  The adjacency is stored one bitmask per row of A
-(bit j of row i set iff a_i * b_j lies outside A): the neighborhood of a
-subset of A is the OR of its rows, which is what the one subset sweep
-(matching.subset_blocks) reads.  The augmenting search reads the rows, and
-the columns, in its scan order (_scan_order), each built once per deltoid.
+(bit n - 1 - j of row i set iff a_i * b_j lies outside A), the one bit
+order, which the augmenting search (matching.assign) scans as built: the
+neighborhood of a subset of A is the OR of its rows, which is what the one
+subset sweep (matching.subset_blocks) reads.  The columns, in the same
+order, are built once per deltoid.
 """
 
 from __future__ import annotations
@@ -27,27 +28,12 @@ from .groups import (
 )
 
 
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bytes, bits reversed
-
-
-def _scan_order(masks) -> tuple[int, ...]:
-    """Each of n masks with bit t moved to bit n - 1 - t: matching.assign's scan order.
-
-    A mask's bytes, reversed bit by bit and read big-endian, are its 8w bits
-    in reverse; the pad of 8w - n high bits then shifts out.
-    """
-    width = (len(masks) + 7) // 8
-    pad = 8 * width - len(masks)
-    return tuple([int.from_bytes(m.to_bytes(width, "little").translate(_REVERSED), "big") >> pad
-                  for m in masks])
-
-
 def _scan_columns(rows) -> tuple[int, ...]:
-    """The columns of n rows in scan order: bit n - 1 - i of column j iff bit j of row i."""
+    """The columns of n rows: bit n - 1 - i of column j iff bit n - 1 - j of row i."""
     # Each block of 256 rows is written as digits, first row first, into a
     # 256 * n byte buffer (one n * n buffer raises peak memory); column j of
-    # a block is the strided slice from n - 1 - j, parsed in C, its first
-    # row the high digit.
+    # a block is the strided slice from j, parsed in C, its first row the
+    # high digit.
     n = len(rows)
     cols = [0] * n
     for base in range(0, n, 256):
@@ -57,12 +43,15 @@ def _scan_columns(rows) -> tuple[int, ...]:
             bits[i * n:i * n + n] = format(row, f"0{n}b").encode()
         shift = n - base - len(block)
         for j in range(n):
-            cols[j] |= int(bits[n - 1 - j::n], 2) << shift
+            cols[j] |= int(bits[j::n], 2) << shift
     return tuple(cols)
 
 
 class Deltoid(_Value):
-    """Validated instance (A, B) with its full adjacency, one bitmask per row."""
+    """Validated instance (A, B) with its full adjacency, one bitmask per row.
+
+    Bit n - 1 - j of rows[i] is set iff a_i * b_j lies outside A.
+    """
 
     _fields = ("A", "B", "rows")
 
@@ -82,13 +71,8 @@ class Deltoid(_Value):
         return {b: j for j, b in enumerate(self.B.elements)}
 
     @cached_property
-    def scan_rows(self) -> tuple[int, ...]:
-        """The rows in scan order: bit n - 1 - j of scan_rows[i] iff bit j of rows[i]."""
-        return _scan_order(self.rows)
-
-    @cached_property
-    def scan_columns(self) -> tuple[int, ...]:
-        """The columns in scan order: bit n - 1 - i of scan_columns[j] iff bit j of rows[i]."""
+    def columns(self) -> tuple[int, ...]:
+        """The columns: bit n - 1 - i of columns[j] iff bit n - 1 - j of rows[i]."""
         return _scan_columns(self.rows)
 
     @cached_property
@@ -98,9 +82,9 @@ class Deltoid(_Value):
         Shared by the maximum matching and the one-class left partition;
         the holders are tuples, so no caller can change the cached search.
         """
-        from .matching import _assign_scan  # matching builds on this module
+        from .matching import assign  # matching builds on this module
 
-        holders, unplaced = _assign_scan(self.scan_rows, 1)
+        holders, unplaced = assign(self.rows, 1)
         return tuple(map(tuple, holders)), unplaced
 
     @cached_property
@@ -131,15 +115,16 @@ class Deltoid(_Value):
         return (1 << self.size) - 1
 
     def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
+        return bool(self.rows[i] >> self.size - 1 - j & 1)
 
     def column_set(self, mask: int) -> GroupSet:
-        """Decode a column bitmask into the corresponding subset of B."""
-        return GroupSet(self.B.group, members(mask, self.size, self.B.elements))
+        """Decode a column bitmask (b_j at bit n - 1 - j) into the subset of B it names."""
+        n = self.size
+        return GroupSet(self.B.group, members(mask, n, self.B.elements, range(n - 1, -1, -1)))
 
 
 def build_deltoid(A: GroupSet, B: GroupSet) -> Deltoid:
-    """Validate (A, B) and materialize the adjacency.
+    """Validate (A, B) and materialize the adjacency rows, b_j at bit n - 1 - j.
 
     Raises InvalidInputError when the instance is malformed.
     """
@@ -152,12 +137,16 @@ def build_deltoid(A: GroupSet, B: GroupSet) -> Deltoid:
     if A.group.identity in B:
         raise InvalidInputError("the identity element may not appear in B")
     full = (1 << len(B.elements)) - 1
-    rows = sums_in(A.group, A.elements, B.elements, A.elements)
+    # sums_in over B reversed sets bit n - 1 - j for b_j
+    rows = sums_in(A.group, A.elements, B.elements[::-1], A.elements)
     return Deltoid(A, B, tuple(full ^ row for row in rows))
 
 
 def delta_mask(D: Deltoid, S: GroupSet) -> int:
-    """Column bitmask of the b with some s*b outside A; InvalidInputError unless S is in A."""
+    """Column bitmask (b_j at bit n - 1 - j) of the b with some s*b outside A.
+
+    Raises InvalidInputError unless S is in A.
+    """
     if S.group != D.A.group:
         raise InvalidInputError("subset lives in a different group")
     rows, idx = D.rows, D.a_index

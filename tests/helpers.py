@@ -8,6 +8,7 @@ injections, so agreement with the library is a real cross-check.
 import math
 import re
 from array import array
+from functools import reduce
 from itertools import combinations, islice, permutations, product, repeat
 from operator import and_, floordiv, neg, or_, sub
 
@@ -25,10 +26,16 @@ from deltoids import (
     cosets_of,
     elements_of,
     enumerate_subgroups,
-    full_cosets_within,
     invert,
 )
-from deltoids.groups import DEFAULT_ORDER_BOUND, _check_searchable, _Masks, _saturate, members
+from deltoids.groups import (
+    DEFAULT_ORDER_BOUND,
+    _check_searchable,
+    _Masks,
+    _saturate,
+    members,
+    sums_in,
+)
 from deltoids.matching import DEFAULT_SUBSET_BOUND
 from deltoids.partition import _rho_is_infinite
 
@@ -100,13 +107,22 @@ def transpose(rows):
     return cols
 
 
+def scan_order(masks):
+    """Each of n masks with bit t moved to bit n - 1 - t, the order assign reads.
+
+    The reversal is its own inverse: scan_order(scan_order(masks)) == masks.
+    """
+    n = len(masks)
+    return [int(format(mask, f"0{n}b")[::-1], 2) for mask in masks]
+
+
 def rows_deltoid(rows):
-    """A Deltoid carrying the given adjacency rows, with placeholder elements."""
+    """A Deltoid carrying the given low-bit rows (bit j for b_j), with placeholder elements."""
     n = len(rows)
     group = GroupSpec((2 * n,))
     A = GroupSet(group, tuple((i,) for i in range(n)))
     B = GroupSet(group, tuple((i,) for i in range(n, 2 * n)))
-    return Deltoid(A, B, tuple(rows))
+    return Deltoid(A, B, tuple(scan_order(rows)))
 
 
 def reference_assign(masks, k: int) -> tuple[list[list[int]], int]:
@@ -541,13 +557,29 @@ def brute_delta_elems(D, s_elems):
 
 
 def brute_rows(A, B):
-    """Adjacency rows recomputed with plain sets: bit j of row i iff a_i*b_j leaves A."""
+    """Adjacency rows recomputed with plain sets: bit n - 1 - j of row i iff a_i*b_j leaves A."""
     group = A.group
     members = set(A.elements)
+    top = len(B.elements) - 1
     return tuple(
-        sum(1 << j for j, b in enumerate(B.elements) if compose(group, a, b) not in members)
+        sum(1 << top - j for j, b in enumerate(B.elements) if compose(group, a, b) not in members)
         for a in A.elements
     )
+
+
+def full_cosets_within(group, elements, sub):
+    """The union of the H-cosets fully contained in the given finite set.
+
+    The x with x + H inside the set are the AND over h in H of the sums_in
+    rows of h; the result size is always a multiple of |H|.  Torsion
+    coordinates may be unreduced and are returned as given.  Works in
+    infinite ambient groups since H is finite and only the finite input set
+    is scanned.
+    """
+    elements = tuple(elements)
+    rows = sums_in(group, sub.elements, elements, elements)
+    inside = reduce(and_, rows, (1 << len(elements)) - 1)
+    return tuple(sorted(members(inside, len(elements), elements)))
 
 
 def bucket_full_cosets(group, elements, sub):

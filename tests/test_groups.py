@@ -23,7 +23,6 @@ from deltoids import (
     elements_of,
     enumerate_subgroups,
     format_group,
-    full_cosets_within,
     generate_subgroup,
     invert,
     max_progression_length,
@@ -42,6 +41,7 @@ from helpers import (
     Z12,
     bucket_full_cosets,
     cyc,
+    full_cosets_within,
     gset,
     is_subgroup,
     reference_generate_subgroup,
@@ -72,7 +72,6 @@ ELEMENT_ENTRIES = {
     "compose-right": lambda x: compose(Z12, (1,), x),
     "invert": lambda x: invert(Z12, x),
     "order": lambda x: order(Z12, x),
-    "full_cosets_within": lambda x: full_cosets_within(Z12, [(0,), x], GroupSet(Z12, cyc(0, 6))),
     "generate_subgroup": lambda x: generate_subgroup(Z12, [(4,), x]),
     "max_progression_length": lambda x: max_progression_length(GroupSet.of(Z12, cyc(1, 2)), x),
 }

@@ -25,9 +25,8 @@ from deltoids import (
     rho_by_feasibility,
     verify_matching,
 )
-from deltoids import matching, sets
+from deltoids import matching, partition, sets
 from deltoids.matching import (
-    _assign_scan,
     _check_subset_bound,
     assign,
     subset_blocks,
@@ -52,6 +51,7 @@ from helpers import (
     reference_assign,
     refusal,
     rows_deltoid,
+    scan_order,
     transpose,
 )
 
@@ -66,7 +66,7 @@ def test_max_matching_golden():
 
 def test_augmenting_path_longer_than_recursion_limit():
     n = 3 * sys.getrecursionlimit()
-    holders, unplaced = assign(chain_rows(n), 1)
+    holders, unplaced = assign(scan_order(chain_rows(n)), 1)
     assert unplaced == 0
     # the last row takes column 0 and every other row shifts one column up
     assert holders == [[n - 1]] + [[i] for i in range(n - 1)]
@@ -76,10 +76,11 @@ def test_augmenting_path_longer_than_recursion_limit():
 
 
 def test_assign_capacity_and_unplaced_count():
+    # target t is bit n - 1 - t of a mask
     # three sources share one target of capacity 2; the third stays unplaced
-    assert assign([1, 1, 1], 2) == ([[0, 1], [], []], 1)
+    assert assign([0b100, 0b100, 0b100], 2) == ([[0, 1], [], []], 1)
     # a full target's holder moves on and the newcomer joins the end of the list
-    assert assign([0b01, 0b11, 0b01], 2) == ([[0, 2], [1], []], 0)
+    assert assign([0b100, 0b110, 0b100], 2) == ([[0, 2], [1], []], 0)
 
 
 def random_masks(rng, n, density):
@@ -93,11 +94,10 @@ def test_assign_matches_reference_and_lookahead_keeps_the_count():
         k = rng.randint(1, 3)
         masks = random_masks(rng, n, rng.random())
         expected = reference_assign(masks, k)
-        assert assign(masks, k) == expected, (masks, k)
-        assert assign(masks, k, lookahead=True)[1] == expected[1], (masks, k)
-    # widths on both sides of a byte (the scan-order conversion pads to a
-    # whole byte) and of CPython's 30-bit digits, each with an all-zero and
-    # an all-ones row among random ones
+        assert assign(scan_order(masks), k) == expected, (masks, k)
+        assert assign(scan_order(masks), k, lookahead=True)[1] == expected[1], (masks, k)
+    # widths on both sides of a byte and of CPython's 30-bit digits, each
+    # with an all-zero and an all-ones row among random ones
     for n in (*range(7, 10), *range(15, 18), *range(29, 32), *range(59, 66)):
         for _ in range(40):
             masks = random_masks(rng, n, rng.random())
@@ -105,8 +105,8 @@ def test_assign_matches_reference_and_lookahead_keeps_the_count():
             masks[rng.randrange(n)] = (1 << n) - 1
             for k in (1, 2, 3):
                 expected = reference_assign(masks, k)
-                assert assign(masks, k) == expected, (masks, k)
-                assert assign(masks, k, lookahead=True)[1] == expected[1], (masks, k)
+                assert assign(scan_order(masks), k) == expected, (masks, k)
+                assert assign(scan_order(masks), k, lookahead=True)[1] == expected[1], (masks, k)
 
 
 def test_assign_matches_reference_at_ladder_size():
@@ -117,31 +117,36 @@ def test_assign_matches_reference_at_ladder_size():
     rng = random.Random(997)
     for shape in ("uniform", "progression"):
         D = cyclic_instance(rng, 997, 300, shape)
-        sides = (("rows", D.rows, D.scan_rows), ("columns", transpose(D.rows), D.scan_columns))
-        for side, masks, scan in sides:
+        low = scan_order(D.rows)  # the rows with b_j at bit j
+        for side, masks, own in (("rows", low, D.rows), ("columns", transpose(low), D.columns)):
+            assert list(own) == scan_order(masks), (shape, side)
             for k in (1, 2):
                 expected = reference_assign(masks, k)
-                assert assign(masks, k) == expected, (shape, side, k)
-                # the library's own call, on the side the deltoid keeps in scan order
-                assert _assign_scan(scan, k) == expected, (shape, side, k)
-                assert assign(masks, k, lookahead=True)[1] == expected[1], (shape, side, k)
+                # the library's own call, on the side as the deltoid keeps it
+                assert assign(own, k) == expected, (shape, side, k)
+                assert assign(own, k, lookahead=True)[1] == expected[1], (shape, side, k)
 
 
 def test_each_deltoid_side_is_put_in_scan_order_once(monkeypatch):
-    # every polynomial route reads the rows or the columns in scan order
-    # from the deltoid, which builds each once; no probe converts again
-    built = []
+    # build_deltoid makes the rows in the order assign scans with one
+    # sums_in call, and the deltoid transposes them once; every polynomial
+    # route hands assign the deltoid's own rows or columns, never a copy
+    built, searched = [], []
 
     def counted(side, build):
-        def wrapper(masks):
+        def wrapper(*args):
             built.append(side)
-            return build(masks)
+            return build(*args)
         return wrapper
 
-    to_scan = counted("rows", sets._scan_order)
-    monkeypatch.setattr(sets, "_scan_order", to_scan)
-    monkeypatch.setattr(matching, "_scan_order", to_scan)
+    def kept(masks, *args, **kwargs):
+        searched.append(masks is D.rows or masks is D.columns)
+        return assign(masks, *args, **kwargs)
+
+    monkeypatch.setattr(sets, "sums_in", counted("rows", sets.sums_in))
     monkeypatch.setattr(sets, "_scan_columns", counted("columns", sets._scan_columns))
+    monkeypatch.setattr(matching, "assign", kept)
+    monkeypatch.setattr(partition, "assign", kept)
     D = cyclic_instance(random.Random(41), 997, 60, "uniform")
     max_matching(D)
     deficiency(D)
@@ -150,6 +155,7 @@ def test_each_deltoid_side_is_put_in_scan_order_once(monkeypatch):
     rho_by_feasibility(D)
     partition_right(D, 2)
     assert built == ["rows", "columns"]
+    assert searched and all(searched)
 
 
 def test_assign_strongly_deficient_keeps_reference_order():
@@ -162,8 +168,8 @@ def test_assign_strongly_deficient_keeps_reference_order():
     for k in (1, 2, 3):
         expected = reference_assign(masks, k)
         assert expected[1] == 40 - 4 * k
-        assert assign(masks, k) == expected
-        assert assign(masks, k, lookahead=True)[1] == expected[1]
+        assert assign(scan_order(masks), k) == expected
+        assert assign(scan_order(masks), k, lookahead=True)[1] == expected[1]
 
 
 def test_max_matching_singleton():

@@ -112,9 +112,25 @@ def test_only_the_delta_chain_and_two_partition_bounds_call_improving_terms():
 
 def test_only_the_polynomial_right_side_routes_read_the_columns():
     # rho's subset sweep reads D.rows like deficiency_by_subsets and
-    # lambda_, so a fault in Deltoid.scan_columns cannot hide in both rho routes
-    assert _src_readers("scan_columns") == [
+    # lambda_, so a fault in Deltoid.columns cannot hide in both rho routes
+    assert _src_readers("columns") == [
         "partition._partition", "partition.rho_by_feasibility"
+    ]
+
+
+def test_only_build_deltoid_makes_a_deltoids_masks():
+    # the rows come from one sums_in call, in the order assign scans;
+    # transform._escape's sums_in rows are its own, not a deltoid's
+    assert _src_readers("sums_in") == ["sets.build_deltoid", "transform._escape"]
+
+
+def test_the_five_library_callers_of_assign():
+    # each passes D.rows or D.columns as the deltoid keeps them; _partition
+    # reads both sides, one call each
+    assert _src_readers("assign") == [
+        "matching.deficiency", "partition._partition", "partition._partition",
+        "partition.lambda_by_feasibility", "partition.rho_by_feasibility",
+        "sets.row_assignment",
     ]
 
 

@@ -83,16 +83,16 @@ def test_rho_sweep_bound():
 
 
 def test_rho_refuses_before_building_the_columns():
-    # rho sweeps the rows and never builds D.scan_columns, a full transposition,
+    # rho sweeps the rows and never builds D.columns, a full transposition,
     # whether it refuses at the sweep bound or answers within it
     group = GroupSpec((97,))
     D = build_deltoid(gset(group, cyc(*range(23))), gset(group, cyc(*range(1, 24))))
     with pytest.raises(ResourceLimitError, match=r"^\|A\| = 23 exceeds subset sweep bound 22$"):
         rho(D)
-    assert "scan_columns" not in D.__dict__
+    assert "columns" not in D.__dict__
     D = build_deltoid(gset(group, cyc(*range(12))), gset(group, cyc(*range(1, 13))))
     assert rho(D) == rho_by_feasibility(build_deltoid(D.A, D.B)) < math.inf
-    assert "scan_columns" not in D.__dict__
+    assert "columns" not in D.__dict__
 
 
 def test_lambda_sweep_bound():

@@ -80,10 +80,13 @@ KERNEL_GROUPS = (
 )
 
 
-def test_build_deltoid_rows_match_plain_sets():
-    # Free coordinates come from a few values, small or of size 10^12, so
-    # that sums of free parts land on free parts of A and rows mix both
-    # outcomes.
+def kernel_instances():
+    """Seeded instances over every KERNEL_GROUPS group, both sums_in paths.
+
+    Free coordinates come from a few values, small or of size 10^12, so
+    that sums of free parts land on free parts of A and rows mix both
+    outcomes.
+    """
     rng = random.Random(2024)
     for literal in KERNEL_GROUPS:
         group = parse_group(literal)
@@ -99,8 +102,30 @@ def test_build_deltoid_rows_match_plain_sets():
                     x = rng.choice(A) if rng.random() < 0.5 else draw()
                     if x != group.identity and len(B) < len(A):
                         B.add(x)
-                A, B = GroupSet.of(group, A[: len(B)]), GroupSet.of(group, B)
-                assert build_deltoid(A, B).rows == brute_rows(A, B), (literal, A, B)
+                yield literal, GroupSet.of(group, A[: len(B)]), GroupSet.of(group, B)
+
+
+def test_build_deltoid_rows_match_plain_sets():
+    for literal, A, B in kernel_instances():
+        assert build_deltoid(A, B).rows == brute_rows(A, B), (literal, A, B)
+
+
+def test_delta_and_u_match_plain_sets_in_every_kernel_group():
+    # delta_mask ORs the rows and column_set decodes the mask, so both must
+    # read b_j at bit n - 1 - j; each row alone, a few random subsets, and
+    # the empty and the whole A are checked
+    rng = random.Random(74)
+    for literal, A, B in kernel_instances():
+        D = build_deltoid(A, B)
+        a_elems = A.elements
+        subsets = [(), a_elems, *((a,) for a in a_elems)]
+        subsets += [tuple(sorted(rng.sample(a_elems, rng.randint(2, len(a_elems)))))
+                    for _ in range(3) if len(a_elems) > 2]
+        for s_elems in subsets:
+            expected = brute_delta_elems(D, s_elems)
+            S = GroupSet(A.group, s_elems)
+            assert delta_set(D, S).elements == tuple(b for b in B if b in expected), (literal, S)
+            assert u_set(D, S).elements == tuple(b for b in B if b not in expected), (literal, S)
 
 
 def test_columns_transpose_rows():
@@ -110,14 +135,14 @@ def test_columns_transpose_rows():
     # widths around one machine word, and one past a 256-row block
     instances += [cyclic_instance(rng, 997, n, "uniform") for n in (63, 64, 65, 300)]
     for D in instances:
-        n = D.size
-        assert len(D.scan_columns) == len(D.scan_rows) == n
-        for i in range(n):
-            for j in range(n):
-                bit = D.rows[i] >> j & 1
-                assert (D.scan_columns[j] >> n - 1 - i & 1) == bit, (D, i, j)
-                assert (D.scan_rows[i] >> n - 1 - j & 1) == bit, (D, i, j)
-        assert max(D.scan_columns) < 1 << n and max(D.scan_rows) < 1 << n
+        n, group, inside = D.size, D.A.group, D.A.member_set
+        assert len(D.columns) == len(D.rows) == n
+        for i, a in enumerate(D.A.elements):
+            for j, b in enumerate(D.B.elements):
+                bit = compose(group, a, b) not in inside
+                assert (D.rows[i] >> n - 1 - j & 1) == bit, (D, i, j)
+                assert (D.columns[j] >> n - 1 - i & 1) == bit, (D, i, j)
+        assert max(D.columns) < 1 << n and max(D.rows) < 1 << n
 
 
 def test_build_deltoid_trivial_group_and_wrong_length():

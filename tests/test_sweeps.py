@@ -234,7 +234,7 @@ def test_sweep_bound_is_checked_before_any_work():
             sweep(D)
         assert str(refused.value) == message
     # rho refused after its infinite check; it never builds the columns
-    assert D.rows and "scan_columns" not in D.__dict__
+    assert D.rows and "columns" not in D.__dict__
     # the stream refuses at the call, not at its first block
     with pytest.raises(ResourceLimitError, match=re.escape(message)):
         subset_blocks(D.rows)

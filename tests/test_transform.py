@@ -16,7 +16,6 @@ from deltoids import (
     elements_of,
     enumerate_subgroups,
     find_witness,
-    full_cosets_within,
     generate_subgroup,
     lambda_lower_bound,
     parse_group,
@@ -48,6 +47,7 @@ from helpers import (
     coset_heavy_instance,
     cyc,
     exhaustive_instances,
+    full_cosets_within,
     golden_deltoid,
     gset,
     random_instance,
